@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload cantor-deep --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload cantor-deep --seed 1 --seconds 25 --trace 0
 
 Workloads are ``cantor-deep``, ``general-measure`` and ``experiments`` (see
 ``perfbench/README.md``).  Each is a closed loop with one client: tasks run
@@ -28,6 +28,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
@@ -44,7 +45,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 SPAN_DIR = ROOT / ".perfbench"
 
-SETUP_SAMPLES = 5  # this process plus four fresh child processes
+SETUP_SAMPLES = 3  # this process plus two fresh child processes
 TAIL_BEYOND = 10
 
 # ROADMAP baseline: boundary_values calls of one solve, w = 1/3, Dirichlet,
@@ -110,6 +111,7 @@ def run_task(task) -> Result:
     from kreinfeller.errors import ToolkitError
     from workloads import execute
 
+    gc.collect()  # garbage left by earlier tasks is not this task's time
     start = time.perf_counter()
     try:
         outcome, error = execute(task), None
