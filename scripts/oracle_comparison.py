@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 
 from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
-from kreinfeller.series import build_table
 from kreinfeller.spectrum import fem_oracle, find_eigenvalues
 
 
@@ -42,10 +41,9 @@ def main(argv=None) -> int:
         print(f"  level  boundary   {header}")
         for level in range(lo, hi + 1):
             mu = cantor_approximant(CantorLevel(w, level))
-            table = build_table(mu, 2)
             for boundary in ("neumann", "dirichlet"):
                 count = args.m_max + 1 if boundary == "neumann" else args.m_max
-                records = find_eigenvalues(table, boundary, count)
+                records = find_eigenvalues(mu, boundary, count)
                 start = 1 if boundary == "neumann" else 0
                 cells = []
                 for k in mesh_powers:

@@ -4,11 +4,14 @@
 Runs the eigenvalue-gap and eigenfunction-gap experiments for a list of
 weight pairs and both boundary conditions, prints the fitted log-slopes
 next to the proven-envelope slope log(w2), and optionally writes the full
-reports as CSV.
+reports as CSV.  Each slope is printed with its drop-deepest delta (the
+slope change when the deepest gap is left out of the fit); a fit with
+|delta| > 0.05 is marked "unsettled", since its slope is still
+pre-asymptotic.
 
 Usage:
     python3 scripts/rate_experiments.py
-    python3 scripts/rate_experiments.py --w 0.5 --w 1/3 --levels 2:6 --out-dir results/
+    python3 scripts/rate_experiments.py --w 0.5 --w 1/3 --levels 5:9 --out-dir results/
 """
 
 import argparse
@@ -23,6 +26,18 @@ from kreinfeller.convergence import (
     eigenvalue_rate_experiment,
 )
 from kreinfeller.measures import WeightVector
+
+SETTLED_DELTA = 0.05
+
+
+def describe_fit(slope, delta) -> str:
+    """Slope, drop-deepest delta and an "unsettled" mark when |delta| > 0.05."""
+    if slope is None:
+        return "  (converged)"
+    if delta is None:
+        return f"{slope:+.4f}  delta    n/a"
+    mark = "  unsettled" if abs(delta) > SETTLED_DELTA else ""
+    return f"{slope:+.4f}  delta {delta:+.4f}{mark}"
 
 
 def parse_levels(text: str) -> tuple[int, ...]:
@@ -40,7 +55,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--w", action="append", default=None, metavar="W",
                     help="first branch weight; repeatable (default: 0.5 and 1/3)")
-    ap.add_argument("--levels", default="2:6", help="inclusive level range a:b (default 2:6)")
+    ap.add_argument("--levels", default="5:9", help="inclusive level range a:b (default 5:9)")
     ap.add_argument("--m-max", type=int, default=3, help="largest eigenvalue index tracked (default 3)")
     ap.add_argument("--out-dir", default=None, help="directory for CSV reports (default: print only)")
     args = ap.parse_args(argv)
@@ -59,13 +74,11 @@ def main(argv=None) -> int:
         for boundary in ("neumann", "dirichlet"):
             ev = eigenvalue_rate_experiment(w, levels, boundary, args.m_max)
             for i, m in enumerate(ev.indices):
-                slope = ev.fitted_rate_per_m[i]
-                shown = f"{slope:+.4f}" if slope is not None else "  (converged)"
+                shown = describe_fit(ev.fitted_rate_per_m[i], ev.fit_drop_deepest_delta[i])
                 print(f"  eigenvalue   {boundary:9s} m={m}: fitted slope {shown}  "
                       f"status={ev.status_per_m[i]}")
             ef = eigenfunction_rate_experiment(w, levels, boundary, 1)
-            slope = ef.fitted_rate
-            shown = f"{slope:+.4f}" if slope is not None else "  (converged)"
+            shown = describe_fit(ef.fitted_rate, ef.fit_drop_deepest_delta)
             print(f"  eigenfunction {boundary:8s} m=1: fitted slope {shown}  status={ef.status}")
             if out_dir:
                 tag = f"w{float(w.w1):.4g}_{boundary}"
@@ -78,8 +91,8 @@ def main(argv=None) -> int:
           "Neumann eigenvalues and 1/3 for Dirichlet eigenvalues and for "
           "eigenfunctions; symmetric weights give (w1^2+w2^2)/3 = 1/6 throughout. "
           "For (1/3,2/3): 5/27 (log -1.686) Neumann eigenvalues, 1/3 (log -1.099) "
-          "otherwise. Eigenvalue fits over levels 2:6 are pre-asymptotic; "
-          "--levels 5:9 shows the settled slopes.")
+          "otherwise. Fits marked unsettled are pre-asymptotic (eigenvalue fits "
+          "over levels 2:6 often are); deepen --levels to settle them.")
     return 0
 
 

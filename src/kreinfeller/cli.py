@@ -195,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=int, default=0, help="refinement level (default 0)")
         p.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP, help="maximum refinement level accepted (default %(default)s)")
         p.add_argument("--tol", type=float, default=1e-12, help="root-finding tolerance (default %(default)s)")
-        p.add_argument("--order", default="auto", help="series truncation order, integer or 'auto' (default auto)")
         p.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
         p.add_argument("--format", choices=FORMATS, default="csv", help="output format (default csv)")
         p.add_argument("--threads", type=int, default=None, help="pin BLAS/OpenMP thread count before numpy loads")
@@ -228,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="audit proven bounds on a family of approximants")
     common(p_audit, levels=True)
+    p_audit.add_argument("--order", default="auto", help="coefficient table order, integer or 'auto' (default auto, which is 12)")
 
     p_cmp = sub.add_parser("oracle-compare", help="spectral solver vs. finite-element oracle")
     common(p_cmp)
@@ -332,12 +332,6 @@ def _measure_for(cfg: RunConfig, level: int | None = None):
     return w, cantor_approximant(CantorLevel(w, lv))
 
 
-def _table_for(cfg: RunConfig, mu):
-    from .series import build_table
-
-    return build_table(mu, cfg.order if cfg.order is not None else 2)
-
-
 def _count_for(cfg: RunConfig, m_top: int) -> int:
     # Neumann tables start at the flat m=0 mode, so index m sits at position m.
     return m_top + 1 if cfg.boundary == "neumann" else m_top
@@ -355,9 +349,8 @@ def _run_eigvals(cfg: RunConfig):
     from .spectrum import find_eigenvalues, records_to_rows
 
     w, mu = _measure_for(cfg)
-    table = _table_for(cfg, mu)
     records = find_eigenvalues(
-        table, cfg.boundary, _count_for(cfg, cfg.m_max), tol=cfg.tol, scan_ceiling=cfg.scan_ceiling
+        mu, cfg.boundary, _count_for(cfg, cfg.m_max), tol=cfg.tol, scan_ceiling=cfg.scan_ceiling
     )
     rows = records_to_rows(records)
     doc = _json_header(cfg, w)
@@ -377,32 +370,19 @@ def _run_eigvals(cfg: RunConfig):
     return rows, doc
 
 
-def _sample_grid(mu, per_interval: int) -> list[float]:
-    """Breakpoint-anchored grid: every density breakpoint plus uniform interior samples."""
-    pts: list[float] = []
-    bps = [float(t) for t in mu.breakpoints]
-    for lo, hi in zip(bps, bps[1:]):
-        pts.append(lo)
-        for k in range(1, per_interval):
-            pts.append(lo + (hi - lo) * k / per_interval)
-    pts.append(bps[-1])
-    return pts
-
-
 def _run_eigfun(cfg: RunConfig):
     from .spectrum import eigenfunction, eigenfunction_eval, find_eigenvalues
 
     m_list = tuple(cfg.extra.get("m_list") or (cfg.m_index,))
     normalized = bool(cfg.extra.get("normalized", False))
     w, mu = _measure_for(cfg)
-    table = _table_for(cfg, mu)
     if cfg.boundary == "dirichlet" and min(m_list) < 1:
         raise ConfigError("dirichlet indices start at m=1")
     records = find_eigenvalues(
-        table, cfg.boundary, _count_for(cfg, max(m_list)), tol=cfg.tol, scan_ceiling=cfg.scan_ceiling
+        mu, cfg.boundary, _count_for(cfg, max(m_list)), tol=cfg.tol, scan_ceiling=cfg.scan_ceiling
     )
     by_index = {r.index: r for r in records}
-    xs = _sample_grid(mu, cfg.x_points)
+    xs = mu.sample_grid(cfg.x_points).tolist()
     header = ["x"] + [f"f_{cfg.boundary[0]}_{m}" for m in m_list]
     columns = []
     for m in m_list:
@@ -472,9 +452,8 @@ def _run_oracle_compare(cfg: RunConfig):
             f"mesh 3^-{cfg.mesh_power} cannot resolve level-{cfg.level} breakpoints; "
             "raise --mesh-power to at least the level"
         )
-    table = _table_for(cfg, mu)
     count = _count_for(cfg, cfg.m_max)
-    records = find_eigenvalues(table, cfg.boundary, count, tol=cfg.tol, scan_ceiling=cfg.scan_ceiling)
+    records = find_eigenvalues(mu, cfg.boundary, count, tol=cfg.tol, scan_ceiling=cfg.scan_ceiling)
     mesh = 3.0 ** (-cfg.mesh_power)
     fem = fem_oracle(mu, mesh, count, cfg.boundary)
     rows = [("boundary", "m", "lambda_spectral", "lambda_fem", "rel_gap")]

@@ -44,7 +44,6 @@ STATUS_OK = "ok"
 STATUS_CONVERGED = "converged below tolerance"
 
 DEFAULT_AUDIT_Z_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0)
-_POINTS_PER_INTERVAL = 16
 
 RATE_CSV_HEADER = (
     "weights",
@@ -223,8 +222,7 @@ def eigenvalue_rate_experiment(
     per_level: list[list[float]] = []
     for n in levels:
         mu = cantor_approximant(CantorLevel(w, n))
-        table = build_table(mu, 2)
-        recs = find_eigenvalues(table, boundary, count, tol=tol)
+        recs = find_eigenvalues(mu, boundary, count, tol=tol)
         lams = [r.lam for r in recs if r.index >= 1]
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise InconsistencyError(
@@ -323,15 +321,7 @@ def refined_grid(w: WeightVector, level: int) -> np.ndarray:
     per interval.  Eigenfunction kinks sit exactly on measure breakpoints, so
     uniform-only grids systematically underestimate sup-norm gaps.
     """
-    mu = cantor_approximant(CantorLevel(w, level))
-    bps = [float(b) for b in mu.breakpoints]
-    pts: list[float] = []
-    k = _POINTS_PER_INTERVAL + 1
-    for a, b in zip(bps, bps[1:]):
-        pts.append(a)
-        pts.extend(a + (b - a) * j / k for j in range(1, k))
-    pts.append(1.0)
-    return np.asarray(pts)
+    return cantor_approximant(CantorLevel(w, level)).sample_grid(17)
 
 
 def eigenfunction_rate_experiment(
@@ -364,8 +354,7 @@ def eigenfunction_rate_experiment(
     values: list[np.ndarray] = []
     for n in levels:
         mu = cantor_approximant(CantorLevel(w, n))
-        table = build_table(mu, 2)
-        rec = find_eigenvalues(table, boundary, count)[-1]
+        rec = find_eigenvalues(mu, boundary, count)[-1]
         if rec.index != m:
             raise InconsistencyError(
                 f"requested index {m}, solver returned {rec.index} at level {n}"
@@ -593,14 +582,10 @@ def _self_similarity_rows(w: WeightVector, levels) -> list[AuditRow]:
     return rows
 
 
-def _audit_grid(w: WeightVector, level: int) -> np.ndarray:
-    return refined_grid(w, level)
-
-
 def _factorial_rows(w, level, table: TrigTable, coeff_order) -> list[AuditRow]:
     """Coefficient growth: each iterated integral obeys a factorial envelope
     driven by the second coefficient of the complementary alternation."""
-    grid = _audit_grid(w, level)
+    grid = refined_grid(w, level)
     p2 = table.p_fun[2].eval_many(grid)
     q2 = table.q_fun[2].eval_many(grid)
     rows = []
@@ -635,7 +620,7 @@ def _coefficient_gap_rows(
 ) -> list[AuditRow]:
     """Two levels' coefficient functions differ by at most
     2 * dist * x^n / (n-1)! — all four alternation families, n >= 1."""
-    grid = _audit_grid(w, m_level)
+    grid = refined_grid(w, m_level)
     dist_f = float(dist)
     rows = []
     specs = (
@@ -669,7 +654,7 @@ def _coefficient_gap_rows(
 def _trig_gap_rows(
     w, n_level, m_level, mu_n: Measure, mu_m: Measure, dist: Fraction, z_grid
 ) -> list[AuditRow]:
-    grid = _audit_grid(w, m_level)
+    grid = refined_grid(w, m_level)
     dist_f = float(dist)
     rows = []
     for z in z_grid:

@@ -153,6 +153,22 @@ class Measure:
         idx = np.clip(np.searchsorted(self._bp, ts, side="right") - 1, 0, len(self.densities) - 1)
         return self._cdf_float[idx] + self._dens[idx] * (ts - self._bp[idx])
 
+    def sample_grid(self, per_piece: int | Sequence[int]) -> np.ndarray:
+        """Every breakpoint plus ``n - 1`` uniform interior points per piece.
+
+        ``per_piece`` is one count ``n >= 1`` for all pieces or one count per
+        piece.  Piece ``[lo, hi]`` contributes ``lo + (hi - lo) * k / n`` for
+        ``k = 0 .. n - 1``; the grid closes with 1, so it has ``sum(n) + 1``
+        increasing points.
+        """
+        n = np.broadcast_to(np.asarray(per_piece, dtype=int), (self.piece_count,))
+        if n.min() < 1:
+            raise DomainError(f"every piece needs at least one sample, got {n.min()}")
+        piece = np.repeat(np.arange(self.piece_count), n)
+        k = np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n)
+        lo = self._bp[piece]
+        return np.append(lo + (self._bp[piece + 1] - lo) * k / n[piece], self._bp[-1])
+
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> str:

@@ -82,11 +82,6 @@ def boundary_values(mu: Measure, z: float) -> PropagationResult:
     return PropagationResult(z, sp, cp, sq, cq, dsp, dcp, dsq, dcq, err)
 
 
-def value_error_estimate(mu: Measure, z: float) -> float:
-    """Cheap a-priori rounding estimate for boundary/grid values at this z."""
-    return boundary_values(mu, z).err_est
-
-
 def eval_on_grid(mu: Measure, z: float, xs, family: str) -> np.ndarray:
     """Evaluate one of cp, sp, sq, cq at arbitrary points in [0,1].
 

@@ -4,7 +4,9 @@ Neumann eigenvalues are squares of the zeros of the boundary value of the odd
 cosine-family solution's companion (``sinp``); Dirichlet eigenvalues are squares
 of the positive zeros of ``sinq``.  Both boundary values are evaluated through
 the exact piecewise closed form in :mod:`kreinfeller.propagation`, so the only
-evaluation error is accumulated rounding, reported per point.
+evaluation error is accumulated rounding, reported per point.  A solve needs
+only the measure: the scan step's ``q2(1)`` is summed from its pieces, and the
+power-series tables of :mod:`kreinfeller.series` stay an independent cross-check.
 
 The scan-and-refine strategy:
 
@@ -29,7 +31,6 @@ import numpy as np
 from .errors import BracketError, ConfigError, DomainError, InconsistencyError, PrecisionError
 from .measures import Measure
 from .propagation import boundary_values, eval_on_grid
-from .series import TrigTable
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -134,6 +135,23 @@ def _boundary_value_fn(mu: Measure, boundary: str) -> Callable[[float], tuple[fl
     return fn
 
 
+def _q2_at_one(mu: Measure) -> float:
+    """q2(1) = integral of t dmu, summed in the float order of
+    ``build_table(mu, 2).q2_at_one`` so that the scan grid matches it bit for bit.
+
+    The exact rational sum differs from the table's value in the last bits, which
+    moves the scan grid and with it the last digits of some roots.
+    """
+    bp, dens = mu.breakpoints, mu.densities
+    q1 = acc2 = 0.0
+    for i in range(len(dens) - 1):
+        ell = float(bp[i + 1] - bp[i])
+        acc2 += float(dens[i]) * math.fsum([q1 * ell, ell**2 / 2])
+        q1 += ell
+    ell, d = float(bp[-1] - bp[-2]), float(dens[-1])
+    return ((d / 2) * ell + d * q1) * ell + acc2
+
+
 def _scan_step(z: float, q2_one: float) -> float:
     return (math.pi / 4.0) / max(1.0, q2_one * z)
 
@@ -150,7 +168,6 @@ def _certify_bracket(
     the sign is unambiguous even after widening the value by that estimate.
     """
     delta = max(1e-14 * max(1.0, z_root), 4.0 * math.ulp(z_root))
-    best = (lo0, hi0)
     while delta < (hi0 - lo0) / 2.0:
         lo = max(lo0, z_root - delta)
         hi = min(hi0, z_root + delta)
@@ -160,11 +177,11 @@ def _certify_bracket(
             return lo, hi
         delta *= 4.0
     # fall back to the scan bracket, which already carried a raw sign change
-    return best
+    return lo0, hi0
 
 
 def find_eigenvalues(
-    table: TrigTable,
+    mu: Measure,
     boundary: str,
     count: int,
     tol: float = 1e-12,
@@ -175,7 +192,8 @@ def find_eigenvalues(
     For Neumann the list starts with the exact record (index 0, lambda 0);
     positive roots then fill indices 1..count-1.  For Dirichlet indices run
     1..count.  Raises :class:`BracketError` carrying the number of roots found
-    if the scan hits ``scan_ceiling`` first.
+    if the scan hits ``scan_ceiling`` first.  A series table is accepted in place
+    of ``mu`` and stands for its measure.
     """
     _check_boundary(boundary)
     if count < 1:
@@ -183,8 +201,8 @@ def find_eigenvalues(
     if not (0.0 < tol <= 1e-2):
         raise ConfigError(f"tol must lie in (0, 1e-2], got {tol}")
 
-    mu = table.measure
-    q2_one = float(table.q2_at_one)
+    mu = mu if isinstance(mu, Measure) else mu.measure
+    q2_one = _q2_at_one(mu)
     fn = _boundary_value_fn(mu, boundary)
 
     records: list[EigenvalueRecord] = []
@@ -216,7 +234,7 @@ def find_eigenvalues(
 
 
 def _scan_positive_roots(
-    fn: Callable[[float], tuple[float, float, PropagationResult]],
+    fn: Callable[[float], tuple[float, float, float]],
     q2_one: float,
     needed: int,
     tol: float,
@@ -403,21 +421,9 @@ def count_zeros(ef: Eigenfunction, min_samples: int = 64) -> int:
 
 
 def _zero_count_grid(mu: Measure, z: float, min_samples: int) -> np.ndarray:
-    pts = [0.0]
-    bps = [float(b) for b in mu.breakpoints]
-    dens = [float(d) for d in mu.densities]
-    for a, b, d in zip(bps, bps[1:], dens):
-        length = b - a
-        if d > 0.0 and z > 0.0:
-            k = z * math.sqrt(d)
-            per = max(4, int(math.ceil(length * k / (math.pi / 4.0))) + 4)
-        else:
-            per = 4
-        per = max(per, int(math.ceil(min_samples * length)) + 2)
-        step = length / per
-        pts.extend(a + j * step for j in range(1, per))
-        pts.append(b)
-    return np.asarray(pts)
+    lengths = np.diff(mu._bp)
+    per = np.ceil(lengths * (z * np.sqrt(mu._dens)) / (math.pi / 4.0)) + 4
+    return mu.sample_grid(np.maximum(per, np.ceil(min_samples * lengths) + 2).astype(int))
 
 
 def _stable_sign_changes(ef: Eigenfunction, xs: np.ndarray, vals: np.ndarray) -> int | None:

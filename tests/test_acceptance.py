@@ -86,10 +86,9 @@ def l2_norm_by_quadrature(ef):
 def test_criterion_1_lebesgue_closed_form():
     """Flat measure: eigenvalues (m*pi)^2 to 1e-9 relative for m <= 10 and
     eigenfunctions cos(m*pi*x) / sin(m*pi*x) to 1e-8 sup-norm on 1000 points."""
-    table = build_table(LEBESGUE, 2)
     grid = np.linspace(0.0, 1.0, 1000)
-    neumann = find_eigenvalues(table, "neumann", 11)
-    dirichlet = find_eigenvalues(table, "dirichlet", 10)
+    neumann = find_eigenvalues(LEBESGUE, "neumann", 11)
+    dirichlet = find_eigenvalues(LEBESGUE, "dirichlet", 10)
     for rec in neumann:
         m = rec.index
         if m > 0:
@@ -131,10 +130,9 @@ def test_criterion_3_identities_at_eigenvalues():
     for first in WEIGHT_TRIO:
         for level in (0, 1, 2, 3, 4):
             mu = cantor(first, level)
-            root_table = build_table(mu, 2)
             ns_table = None
             for boundary, count in (("neumann", 7), ("dirichlet", 6)):
-                records = find_eigenvalues(root_table, boundary, count)
+                records = find_eigenvalues(mu, boundary, count)
                 for rec in records:
                     if rec.index >= 1:
                         ef = eigenfunction(mu, rec)
@@ -245,9 +243,8 @@ def test_criterion_6_fem_oracle_equivalence():
     for first in WEIGHT_TRIO:
         for level in (1, 2, 3, 4):
             mu = cantor(first, level)
-            table = build_table(mu, 2)
             for boundary, count in (("neumann", 7), ("dirichlet", 6)):
-                records = find_eigenvalues(table, boundary, count)
+                records = find_eigenvalues(mu, boundary, count)
                 gaps_per_mesh = []
                 for k in (4, 5, 6):
                     fem = fem_oracle(mu, 3.0**-k, count, boundary)
@@ -275,12 +272,11 @@ def test_criterion_7_zero_count_law():
     for first in WEIGHT_TRIO:
         for level in (0, 1, 2, 3):
             mu = cantor(first, level)
-            table = build_table(mu, 2)
-            for rec in find_eigenvalues(table, "neumann", 7)[1:]:
+            for rec in find_eigenvalues(mu, "neumann", 7)[1:]:
                 assert count_zeros(eigenfunction(mu, rec)) == rec.index, (
                     f"w1={first} n={level} neumann m={rec.index}"
                 )
-            for rec in find_eigenvalues(table, "dirichlet", 6):
+            for rec in find_eigenvalues(mu, "dirichlet", 6):
                 assert count_zeros(eigenfunction(mu, rec)) == rec.index + 1, (
                     f"w1={first} n={level} dirichlet m={rec.index}"
                 )

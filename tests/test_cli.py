@@ -68,12 +68,19 @@ class TestConfigParsing:
         assert cfg.order is None
 
     def test_order_integer(self):
-        cfg = config_from_argv(["eigvals", "--order", "24"])
+        cfg = config_from_argv(["audit", "--order", "24"])
         assert cfg.order == 24
 
     def test_order_garbage_rejected(self):
         with pytest.raises(ConfigError):
-            config_from_argv(["eigvals", "--order", "many"])
+            config_from_argv(["audit", "--order", "many"])
+
+    @pytest.mark.parametrize("command", ["eigvals", "eigfun", "sincurve", "rates", "oracle-compare"])
+    def test_order_only_on_audit(self, command):
+        # only the audit builds series tables, so only it takes an order
+        with pytest.raises(SystemExit) as exc:
+            config_from_argv([command, "--order", "5"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("tol", ["1e-15", "1e-3", "0.5"])
     def test_tol_window_enforced(self, tol):
@@ -152,12 +159,10 @@ class TestEigvalsCommand:
         assert rc == 0
         doc = json.loads(capsysbinary.readouterr().out.decode("utf-8"))
         from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
-        from kreinfeller.series import build_table
         from kreinfeller.spectrum import find_eigenvalues
 
         w = WeightVector.of(Fraction(1, 3))
-        table = build_table(cantor_approximant(CantorLevel(w, 2)), 2)
-        records = find_eigenvalues(table, "neumann", 4)
+        records = find_eigenvalues(cantor_approximant(CantorLevel(w, 2)), "neumann", 4)
         assert doc["weights"] == ["1/3", "2/3"]
         for rec, got in zip(records, doc["records"]):
             assert got["m"] == rec.index
@@ -169,11 +174,10 @@ class TestEigvalsCommand:
         assert rc == 0
         rows = parse_csv_bytes(capsysbinary.readouterr().out)
         from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
-        from kreinfeller.series import build_table
         from kreinfeller.spectrum import find_eigenvalues
 
-        table = build_table(cantor_approximant(CantorLevel(WeightVector.of(Fraction(2, 5)), 2)), 2)
-        records = find_eigenvalues(table, "neumann", 3)
+        mu = cantor_approximant(CantorLevel(WeightVector.of(Fraction(2, 5)), 2))
+        records = find_eigenvalues(mu, "neumann", 3)
         for rec, row in zip(records, rows[1:]):
             assert float(row[2]) == rec.z  # 17 significant digits round-trip exactly
             assert float(row[3]) == rec.lam

@@ -170,13 +170,12 @@ class TestEigenfunctionRates:
     def test_dirichlet_endpoint_gaps_vanish(self):
         # both levels satisfy the boundary conditions exactly, so the gap at
         # x in {0,1} is zero up to the root residual
-        from kreinfeller.series import build_table
         from kreinfeller.spectrum import find_eigenvalues
 
         vals = []
         for n in (2, 3):
             mu = cantor_approximant(CantorLevel(HALF, n))
-            rec = find_eigenvalues(build_table(mu, 2), "dirichlet", 1)[0]
+            rec = find_eigenvalues(mu, "dirichlet", 1)[0]
             vals.append(eval_on_grid(mu, rec.z, np.array([0.0, 1.0]), "sq"))
         gap = np.abs(vals[1] - vals[0])
         assert gap[0] == 0.0

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from kreinfeller import convergence, series
 from kreinfeller.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -62,6 +63,16 @@ def test_cli_output_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main(GOLDEN_CONFIGS[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, args in GOLDEN_CONFIGS.items() if args[0] != "audit"))
+def test_solves_need_no_series_table(name, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series table was built outside the audit")
+
+    monkeypatch.setattr(series, "build_table", refuse)
+    monkeypatch.setattr(convergence, "build_table", refuse)
+    test_cli_output_matches_golden(name, tmp_path)
 
 
 def test_every_subcommand_and_format_is_covered():

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import weight_vectors
+from conftest import STANDARD_WEIGHTS, piecewise_measures, weight_vectors
 from kreinfeller.errors import BracketError, ConfigError, DomainError, PrecisionError
 from kreinfeller.measures import CantorLevel, Measure, WeightVector, cantor_approximant
 from kreinfeller.series import build_table, null_sum_plain, null_sum_weighted
 from kreinfeller.spectrum import (
     CSV_HEADER,
+    _q2_at_one,
     count_zeros,
     eigenfunction,
     eigenfunction_eval,
@@ -43,30 +44,25 @@ def cantor(w1, w2, level):
     return cantor_approximant(CantorLevel(WeightVector.of(F(w1), F(w2)), level))
 
 
-@pytest.fixture(scope="module")
-def leb_table():
-    return build_table(LEBESGUE, 8)
-
-
 class TestLebesgueRoots:
-    def test_neumann_roots_are_multiples_of_pi(self, leb_table):
-        recs = find_eigenvalues(leb_table, "neumann", 11, tol=1e-14)
+    def test_neumann_roots_are_multiples_of_pi(self):
+        recs = find_eigenvalues(LEBESGUE, "neumann", 11, tol=1e-14)
         assert [r.index for r in recs] == list(range(11))
         for r in recs:
             expect = r.index * math.pi
             assert abs(r.z - expect) <= 5e-14 * max(1.0, expect)
             assert abs(r.lam - expect**2) <= 1e-12 * max(1.0, expect**2)
 
-    def test_dirichlet_roots_are_positive_multiples_of_pi(self, leb_table):
-        recs = find_eigenvalues(leb_table, "dirichlet", 10, tol=1e-14)
+    def test_dirichlet_roots_are_positive_multiples_of_pi(self):
+        recs = find_eigenvalues(LEBESGUE, "dirichlet", 10, tol=1e-14)
         assert [r.index for r in recs] == list(range(1, 11))
         for r in recs:
             expect = r.index * math.pi
             assert abs(r.z - expect) <= 5e-14 * expect
 
-    def test_records_are_certified(self, leb_table):
+    def test_records_are_certified(self):
         for boundary in ("neumann", "dirichlet"):
-            recs = find_eigenvalues(leb_table, boundary, 6)
+            recs = find_eigenvalues(LEBESGUE, boundary, 6)
             zs = [r.z for r in recs]
             assert zs == sorted(zs)
             assert all(b > a for a, b in zip(zs, zs[1:]))
@@ -78,43 +74,59 @@ class TestLebesgueRoots:
                 assert r.residual <= 1e-12
                 assert 0.0 < r.error_bound < 1e-9
 
-    def test_neumann_prefix_only_when_requested(self, leb_table):
-        assert len(find_eigenvalues(leb_table, "neumann", 1)) == 1
-        only = find_eigenvalues(leb_table, "neumann", 1)[0]
+    def test_neumann_prefix_only_when_requested(self):
+        assert len(find_eigenvalues(LEBESGUE, "neumann", 1)) == 1
+        only = find_eigenvalues(LEBESGUE, "neumann", 1)[0]
         assert only.lam == 0.0
-
-
-@pytest.fixture(scope="module")
-def half_level1_table():
-    return build_table(cantor(F(1, 2), F(1, 2), 1), 4)
 
 
 class TestFrozenLevelOne:
     @pytest.fixture
-    def table(self, half_level1_table):
-        return half_level1_table
+    def mu(self):
+        return cantor(F(1, 2), F(1, 2), 1)
 
-    def test_first_dirichlet(self, table):
-        rec = find_eigenvalues(table, "dirichlet", 1, tol=1e-14)[0]
+    def test_first_dirichlet(self, mu):
+        rec = find_eigenvalues(mu, "dirichlet", 1, tol=1e-14)[0]
         assert rec.lam == pytest.approx(HALF_LEVEL1_DIRICHLET_1, rel=1e-12)
 
-    def test_first_positive_neumann(self, table):
-        rec = find_eigenvalues(table, "neumann", 2, tol=1e-14)[1]
+    def test_first_positive_neumann(self, mu):
+        rec = find_eigenvalues(mu, "neumann", 2, tol=1e-14)[1]
         assert rec.lam == pytest.approx(HALF_LEVEL1_NEUMANN_1, rel=1e-12)
 
-    def test_symmetric_measure_halving(self, table):
+    def test_symmetric_measure_halving(self, mu):
         # With a measure symmetric about 1/2, the second positive Neumann root
         # is an even reflection of the first Dirichlet one: z_{N,2} = 2 z_{D,1}.
-        rn = find_eigenvalues(table, "neumann", 3, tol=1e-14)
-        rd = find_eigenvalues(table, "dirichlet", 1, tol=1e-14)
+        rn = find_eigenvalues(mu, "neumann", 3, tol=1e-14)
+        rd = find_eigenvalues(mu, "dirichlet", 1, tol=1e-14)
         assert rn[2].z == pytest.approx(2.0 * rd[0].z, rel=1e-13)
+
+
+class TestMeasureOnlySolve:
+    @pytest.mark.parametrize("level", range(9))
+    def test_q2_at_one_matches_table_bit_for_bit(self, level):
+        # the scan grid depends on q2(1); any last-bit change moves root digits
+        for w in STANDARD_WEIGHTS:
+            mu = cantor_approximant(CantorLevel(w, level))
+            assert _q2_at_one(mu) == build_table(mu, 2).q2_at_one
+
+    @settings(max_examples=40, deadline=None)
+    @given(piecewise_measures())
+    def test_q2_at_one_matches_table_on_random_measures(self, mu):
+        assert _q2_at_one(mu) == build_table(mu, 2).q2_at_one
+
+    def test_table_argument_stands_for_its_measure(self):
+        mu = cantor(F(2, 5), F(3, 5), 3)
+        for boundary in ("neumann", "dirichlet"):
+            assert find_eigenvalues(build_table(mu, 3), boundary, 5) == find_eigenvalues(
+                mu, boundary, 5
+            )
 
 
 class TestSeriesCrossChecks:
     def test_found_roots_annihilate_vanishing_sums(self):
         mu = cantor(F(1, 3), F(2, 3), 2)
         table = build_table(mu, 40)
-        recs = find_eigenvalues(table, "neumann", 3, tol=1e-14)
+        recs = find_eigenvalues(mu, "neumann", 3, tol=1e-14)
         for rec in recs[1:]:
             if rec.z > 5.0:
                 continue  # combinatorial growth defeats float certification
@@ -126,60 +138,49 @@ class TestSeriesCrossChecks:
         # min-max sandwich: the m-th Dirichlet root sits between the (m-1)-th
         # and (m+1)-th Neumann roots (coincidence allowed; Lebesgue hits it)
         for mu in (LEBESGUE, cantor(F(1, 3), F(2, 3), 2), cantor(F(1, 4), F(3, 4), 1)):
-            table = build_table(mu, 4)
-            rn = find_eigenvalues(table, "neumann", 6)
-            rd = find_eigenvalues(table, "dirichlet", 4)
+            rn = find_eigenvalues(mu, "neumann", 6)
+            rd = find_eigenvalues(mu, "dirichlet", 4)
             for m in range(1, 5):
                 assert rn[m - 1].z <= rd[m - 1].z + 1e-10
                 assert rd[m - 1].z <= rn[m + 1].z + 1e-10
 
 
-@pytest.fixture(scope="module")
-def third_level2():
-    mu = cantor(F(1, 3), F(2, 3), 2)
-    return mu, build_table(mu, 4)
-
-
 class TestEigenfunctions:
     @pytest.fixture
-    def mu(self, third_level2):
-        return third_level2[0]
+    def mu(self):
+        return cantor(F(1, 3), F(2, 3), 2)
 
-    @pytest.fixture
-    def table(self, third_level2):
-        return third_level2[1]
-
-    def test_boundary_conditions(self, mu, table):
-        for rec in find_eigenvalues(table, "neumann", 4):
+    def test_boundary_conditions(self, mu):
+        for rec in find_eigenvalues(mu, "neumann", 4):
             ef = eigenfunction(mu, rec)
             v0, v1 = eigenfunction_eval(ef, [0.0, 1.0])
             assert v0 == 1.0
             # Neumann: derivative vanishes at both ends, value does not
             assert abs(v1) > 1e-3 or rec.index == 0
-        for rec in find_eigenvalues(table, "dirichlet", 4):
+        for rec in find_eigenvalues(mu, "dirichlet", 4):
             ef = eigenfunction(mu, rec)
             v0, v1 = eigenfunction_eval(ef, [0.0, 1.0])
             assert v0 == 0.0
             assert abs(v1) <= 1e-11
 
-    def test_index_zero_is_constant_one(self, mu, table):
-        rec = find_eigenvalues(table, "neumann", 1)[0]
+    def test_index_zero_is_constant_one(self, mu):
+        rec = find_eigenvalues(mu, "neumann", 1)[0]
         ef = eigenfunction(mu, rec)
         xs = np.linspace(0.0, 1.0, 37)
         assert np.all(eigenfunction_eval(ef, xs) == 1.0)
         assert eigenfunction_l2_norm(ef) == 1.0
         assert count_zeros(ef) == 0
 
-    def test_lebesgue_norms(self, leb_table):
+    def test_lebesgue_norms(self):
         for boundary in ("neumann", "dirichlet"):
-            for rec in find_eigenvalues(leb_table, boundary, 4):
+            for rec in find_eigenvalues(LEBESGUE, boundary, 4):
                 ef = eigenfunction(LEBESGUE, rec)
                 expect = 1.0 if rec.index == 0 and boundary == "neumann" else math.sqrt(0.5)
                 assert eigenfunction_l2_norm(ef) == pytest.approx(expect, rel=1e-12)
 
-    def test_norm_identity_matches_quadrature(self, mu, table):
+    def test_norm_identity_matches_quadrature(self, mu):
         for boundary in ("neumann", "dirichlet"):
-            for rec in find_eigenvalues(table, boundary, 5, tol=1e-14):
+            for rec in find_eigenvalues(mu, boundary, 5, tol=1e-14):
                 if boundary == "neumann" and rec.index == 0:
                     continue
                 ef = eigenfunction(mu, rec)
@@ -187,8 +188,8 @@ class TestEigenfunctions:
                 quad = _l2_norm_quadrature(ef, mu)
                 assert identity == pytest.approx(quad, rel=1e-9)
 
-    def test_normalized_eval(self, mu, table):
-        rec = find_eigenvalues(table, "dirichlet", 1)[0]
+    def test_normalized_eval(self, mu):
+        rec = find_eigenvalues(mu, "dirichlet", 1)[0]
         ef = eigenfunction(mu, rec)
         xs = np.linspace(0.0, 1.0, 101)
         raw = eigenfunction_eval(ef, xs)
@@ -196,16 +197,16 @@ class TestEigenfunctions:
         scale = eigenfunction_l2_norm(ef)
         assert np.allclose(raw, unit * scale, rtol=1e-13, atol=0.0)
 
-    def test_zero_counts(self, mu, table):
-        for rec in find_eigenvalues(table, "neumann", 6):
+    def test_zero_counts(self, mu):
+        for rec in find_eigenvalues(mu, "neumann", 6):
             assert count_zeros(eigenfunction(mu, rec)) == rec.index
-        for rec in find_eigenvalues(table, "dirichlet", 5):
+        for rec in find_eigenvalues(mu, "dirichlet", 5):
             assert count_zeros(eigenfunction(mu, rec)) == rec.index + 1
 
-    def test_zero_counts_lebesgue(self, leb_table):
-        for rec in find_eigenvalues(leb_table, "neumann", 7):
+    def test_zero_counts_lebesgue(self):
+        for rec in find_eigenvalues(LEBESGUE, "neumann", 7):
             assert count_zeros(eigenfunction(LEBESGUE, rec)) == rec.index
-        for rec in find_eigenvalues(leb_table, "dirichlet", 6):
+        for rec in find_eigenvalues(LEBESGUE, "dirichlet", 6):
             assert count_zeros(eigenfunction(LEBESGUE, rec)) == rec.index + 1
 
 
@@ -240,8 +241,7 @@ class TestFemOracle:
 
     def test_cantor_agreement_and_h_refinement(self):
         mu = cantor(F(1, 3), F(2, 3), 2)
-        table = build_table(mu, 2)
-        recs = find_eigenvalues(table, "dirichlet", 4)
+        recs = find_eigenvalues(mu, "dirichlet", 4)
         errs = []
         for k in (4, 5, 6):
             fem = fem_oracle(mu, 3.0 ** -k, 4, "dirichlet")
@@ -255,8 +255,7 @@ class TestFemOracle:
         # level-3 measure at mesh 3^-5: 8 support pieces, gap interiors massless
         mu = cantor(F(1, 2), F(1, 2), 3)
         fem = fem_oracle(mu, 3.0 ** -5, 3, "neumann")
-        table = build_table(mu, 2)
-        recs = find_eigenvalues(table, "neumann", 3)
+        recs = find_eigenvalues(mu, "neumann", 3)
         for f, r in zip(fem[1:], recs[1:]):
             assert f == pytest.approx(r.lam, rel=2e-3)
 
@@ -273,25 +272,25 @@ class TestFemOracle:
 
 
 class TestErrorPaths:
-    def test_scan_ceiling_reports_found(self, leb_table):
+    def test_scan_ceiling_reports_found(self):
         with pytest.raises(BracketError) as exc:
-            find_eigenvalues(leb_table, "dirichlet", 5, scan_ceiling=7.0)
+            find_eigenvalues(LEBESGUE, "dirichlet", 5, scan_ceiling=7.0)
         assert exc.value.found == 2  # pi and 2*pi lie below 7
 
-    def test_bad_boundary(self, leb_table):
+    def test_bad_boundary(self):
         with pytest.raises(DomainError):
-            find_eigenvalues(leb_table, "periodic", 2)
+            find_eigenvalues(LEBESGUE, "periodic", 2)
 
-    def test_bad_count_and_tol(self, leb_table):
+    def test_bad_count_and_tol(self):
         with pytest.raises(ConfigError):
-            find_eigenvalues(leb_table, "neumann", 0)
+            find_eigenvalues(LEBESGUE, "neumann", 0)
         with pytest.raises(ConfigError):
-            find_eigenvalues(leb_table, "neumann", 2, tol=1.0)
+            find_eigenvalues(LEBESGUE, "neumann", 2, tol=1.0)
         with pytest.raises(ConfigError):
-            find_eigenvalues(leb_table, "neumann", 2, tol=0.0)
+            find_eigenvalues(LEBESGUE, "neumann", 2, tol=0.0)
 
-    def test_norm_identity_rejects_non_roots(self, leb_table):
-        rec = find_eigenvalues(leb_table, "neumann", 2)[1]
+    def test_norm_identity_rejects_non_roots(self):
+        rec = find_eigenvalues(LEBESGUE, "neumann", 2)[1]
         # on the gapped measure the boundary product dips clearly negative
         mu = cantor(F(1, 2), F(1, 2), 1)
         fake = type(rec)(
@@ -310,8 +309,8 @@ class TestErrorPaths:
 
 
 class TestCsvRows:
-    def test_rows_round_trip(self, leb_table):
-        recs = find_eigenvalues(leb_table, "neumann", 3)
+    def test_rows_round_trip(self):
+        recs = find_eigenvalues(LEBESGUE, "neumann", 3)
         rows = records_to_rows(recs)
         assert rows[0] == CSV_HEADER
         assert len(rows) == 4
@@ -328,9 +327,8 @@ class TestCsvRows:
 @given(weight_vectors())
 def test_random_weights_certified_roots(w):
     mu = cantor_approximant(CantorLevel(w, 1))
-    table = build_table(mu, 4)
     for boundary in ("neumann", "dirichlet"):
-        recs = find_eigenvalues(table, boundary, 3)
+        recs = find_eigenvalues(mu, boundary, 3)
         zs = [r.z for r in recs]
         assert all(b > a for a, b in zip(zs, zs[1:]))
         for rec in recs:
