@@ -170,8 +170,17 @@ class RunConfig:
 # argument parsing
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises :class:`ConfigError` for a rejected command line, so ``main``
+    reports it as the one-line JSON error with exit code 2.  Subparsers
+    inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kreinfeller",
         description="Eigenvalues of the measure-second-derivative operator on [0,1].",
     )

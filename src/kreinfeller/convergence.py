@@ -515,12 +515,12 @@ def bound_audit(
     rows += _cdf_rows(w, levels, dists)
     rows += _self_similarity_rows(w, levels)
     for n in levels:
-        rows += _factorial_rows(w, n, tables[n], coeff_order)
+        rows += _factorial_rows(n, tables[n], coeff_order)
     for i, n in enumerate(levels):
         for m in levels[i + 1:]:
             dist = dists[(n, m)]
-            rows += _coefficient_gap_rows(w, n, m, tables[n], tables[m], dist, coeff_order)
-            rows += _trig_gap_rows(w, n, m, measures[n], measures[m], dist, z_grid)
+            rows += _coefficient_gap_rows(n, m, tables[n], tables[m], dist, coeff_order)
+            rows += _trig_gap_rows(n, m, measures[n], measures[m], dist, z_grid)
             rows += _deriv_gap_rows(n, m, measures[n], measures[m], dist, z_grid)
 
     report = AuditReport(weights=w, levels=levels, rows=tuple(rows))
@@ -582,10 +582,10 @@ def _self_similarity_rows(w: WeightVector, levels) -> list[AuditRow]:
     return rows
 
 
-def _factorial_rows(w, level, table: TrigTable, coeff_order) -> list[AuditRow]:
+def _factorial_rows(level, table: TrigTable, coeff_order) -> list[AuditRow]:
     """Coefficient growth: each iterated integral obeys a factorial envelope
     driven by the second coefficient of the complementary alternation."""
-    grid = refined_grid(w, level)
+    grid = table.measure.sample_grid(17)
     p2 = table.p_fun[2].eval_many(grid)
     q2 = table.q_fun[2].eval_many(grid)
     rows = []
@@ -616,11 +616,11 @@ def _factorial_rows(w, level, table: TrigTable, coeff_order) -> list[AuditRow]:
 
 
 def _coefficient_gap_rows(
-    w, n_level, m_level, table_n: TrigTable, table_m: TrigTable, dist: Fraction, coeff_order
+    n_level, m_level, table_n: TrigTable, table_m: TrigTable, dist: Fraction, coeff_order
 ) -> list[AuditRow]:
     """Two levels' coefficient functions differ by at most
     2 * dist * x^n / (n-1)! — all four alternation families, n >= 1."""
-    grid = refined_grid(w, m_level)
+    grid = table_m.measure.sample_grid(17)
     dist_f = float(dist)
     rows = []
     specs = (
@@ -652,9 +652,9 @@ def _coefficient_gap_rows(
 
 
 def _trig_gap_rows(
-    w, n_level, m_level, mu_n: Measure, mu_m: Measure, dist: Fraction, z_grid
+    n_level, m_level, mu_n: Measure, mu_m: Measure, dist: Fraction, z_grid
 ) -> list[AuditRow]:
-    grid = refined_grid(w, m_level)
+    grid = mu_m.sample_grid(17)
     dist_f = float(dist)
     rows = []
     for z in z_grid:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -77,8 +78,9 @@ class Measure:
     breakpoints: 0 = t_0 < t_1 < ... < t_K = 1, exact rationals.
     densities:   d_1 ... d_K >= 0, one per interval, exact rationals.
 
-    Instances are immutable; float views of the grid, densities and CDF
-    are cached at construction for fast evaluation.
+    Instances are immutable; float views of the grid, densities and CDF,
+    and the piece table of (h, d, sqrt(d)) floats that the propagation
+    sweep reads, are cached at construction for fast evaluation.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -88,6 +90,7 @@ class Measure:
     _dens: np.ndarray = field(compare=False, repr=False, default=None)
     _cdf_at_bp: tuple[Fraction, ...] = field(compare=False, repr=False, default=None)
     _cdf_float: np.ndarray = field(compare=False, repr=False, default=None)
+    _piece_table: tuple = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
         bp, dens = self.breakpoints, self.densities
@@ -108,6 +111,8 @@ class Measure:
         object.__setattr__(self, "_dens", np.array([float(d) for d in dens]))
         object.__setattr__(self, "_cdf_at_bp", tuple(cum))
         object.__setattr__(self, "_cdf_float", np.array([float(c) for c in cum]))
+        pieces = zip(np.diff(self._bp).tolist(), self._dens.tolist())
+        object.__setattr__(self, "_piece_table", tuple((h, d, math.sqrt(d)) for h, d in pieces))
 
     # -- constructors -------------------------------------------------
 

@@ -12,8 +12,9 @@ The scan-and-refine strategy:
 
 * march upward in ``z`` with step ``(pi/4) / max(1, q2(1) * z)``,
 * halve the step whenever the boundary value dips under ten times its rounding
-  estimate without a sign change (guards against stepping over a close pair,
-  which cannot happen for simple zeros but costs little to rule out),
+  estimate without a sign change.  This does not rule out a close pair: simple
+  roots 0.001-0.008 apart are stepped over for w = 1/2 Dirichlet (ROADMAP.md,
+  "Measured"; direction 1 there proves each index by :func:`count_zeros`),
 * refine each certified sign change with Brent's method,
 * re-certify a tight bracket around the refined root whose endpoint values
   exceed their rounding estimates with opposite signs.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import BracketError, ConfigError, DomainError, InconsistencyError, PrecisionError
 from .measures import Measure
-from .propagation import boundary_values, eval_on_grid
+from .propagation import boundary_values, eval_on_grid, zero_count
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -391,59 +392,20 @@ def eigenfunction_l2_norm(ef: Eigenfunction) -> float:
     return math.sqrt(0.5 * product)
 
 
-def count_zeros(ef: Eigenfunction, min_samples: int = 64) -> int:
-    """Number of zeros: Neumann counts sign changes strictly inside (0,1);
-    Dirichlet counts interior sign changes plus the two boundary zeros.
+def count_zeros(ef: Eigenfunction) -> int:
+    """Number of zeros: Neumann counts the zeros strictly inside (0,1);
+    Dirichlet counts the interior zeros plus the two boundary zeros.
 
-    Sampling is dense enough to resolve every crossing: on a piece with
-    constant density d the function is a sinusoid of wavenumber z*sqrt(d), so
-    spacing below a quarter of its half-period pins each crossing between two
-    samples of opposite sign.  The count is accepted only after it is stable
-    under one refinement; an unstable or sign-ambiguous count raises.
+    Counted in closed form from the propagation sweep by
+    :func:`kreinfeller.propagation.zero_count`, with x = 1 taken as a zero
+    for Dirichlet; no sampling.
     """
     rec = ef.record
     if rec.boundary == NEUMANN and rec.index == 0:
         return 0
-    z = rec.z
-    factor = 1
-    prev = None
-    for _ in range(4):
-        xs = _zero_count_grid(ef.measure, z, min_samples * factor)
-        vals = eval_on_grid(ef.measure, z, xs, ef.family())
-        n = _stable_sign_changes(ef, xs, vals)
-        if n is not None and n == prev:
-            return n + (2 if rec.boundary == DIRICHLET else 0)
-        prev = n
-        factor *= 2
-    raise PrecisionError(
-        f"zero count did not stabilize for index {rec.index} ({rec.boundary})"
-    )
-
-
-def _zero_count_grid(mu: Measure, z: float, min_samples: int) -> np.ndarray:
-    lengths = np.diff(mu._bp)
-    per = np.ceil(lengths * (z * np.sqrt(mu._dens)) / (math.pi / 4.0)) + 4
-    return mu.sample_grid(np.maximum(per, np.ceil(min_samples * lengths) + 2).astype(int))
-
-
-def _stable_sign_changes(ef: Eigenfunction, xs: np.ndarray, vals: np.ndarray) -> int | None:
-    # drop the exact endpoint zeros for Dirichlet; they are counted separately
-    if ef.record.boundary == DIRICHLET:
-        xs, vals = xs[1:-1], vals[1:-1]
-    amp = float(np.max(np.abs(vals)))
-    floor = 1e-11 * max(amp, 1.0)
-    signs = np.sign(vals)
-    ambiguous = np.abs(vals) < floor
-    if ambiguous.any():
-        # a sample sitting on a zero: neighbours must straddle it
-        idx = np.nonzero(ambiguous)[0]
-        for i in idx:
-            if 0 < i < len(vals) - 1 and signs[i - 1] * signs[i + 1] > 0:
-                return None
-        keep = ~ambiguous
-        signs = signs[keep]
-    flips = int(np.sum(signs[1:] * signs[:-1] < 0))
-    return flips
+    dirichlet = rec.boundary == DIRICHLET
+    # zero_count covers (0, 1]; a Dirichlet eigenfunction also vanishes at 0
+    return zero_count(ef.measure, rec.z, ef.family(), dirichlet) + (1 if dirichlet else 0)
 
 
 def fem_oracle(

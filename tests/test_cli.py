@@ -76,11 +76,35 @@ class TestConfigParsing:
             config_from_argv(["audit", "--order", "many"])
 
     @pytest.mark.parametrize("command", ["eigvals", "eigfun", "sincurve", "rates", "oracle-compare"])
-    def test_order_only_on_audit(self, command):
+    def test_order_only_on_audit(self, command, capsys):
         # only the audit builds series tables, so only it takes an order
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(ConfigError, match="unrecognized arguments: --order 5"):
             config_from_argv([command, "--order", "5"])
-        assert exc.value.code == 2
+        assert main([command, "--order", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        doc = json.loads(err[0])
+        assert (doc["error"], doc["exit_code"]) == ("ConfigError", 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eigvals", "--boundary", "sideways"], ["eigvals", "--level", "x"], ["bogus"], []],
+    )
+    def test_rejected_command_lines_are_config_errors(self, argv, capsys):
+        with pytest.raises(ConfigError):
+            config_from_argv(argv)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        doc = json.loads(err[0])
+        assert (doc["error"], doc["exit_code"]) == ("ConfigError", 2)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eigvals", "--help"]])
+    def test_help_still_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            config_from_argv(argv)
+        assert exc.value.code == 0
+        assert "usage: kreinfeller" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tol", ["1e-15", "1e-3", "0.5"])
     def test_tol_window_enforced(self, tol):

@@ -299,6 +299,23 @@ class TestBoundAudit:
         bad = rep.violations()
         assert bad and all(r.bound == "trig-gap-sp" for r in bad)
 
+    def test_builds_each_approximant_once(self, monkeypatch):
+        # the rows read the approximants the audit already holds: one build per
+        # level, plus two per level inside verify_refinement_identity
+        from kreinfeller import measures
+
+        calls = []
+        build = measures.cantor_approximant
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.level)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(measures, "cantor_approximant", counted)
+        monkeypatch.setattr(conv, "cantor_approximant", counted)
+        bound_audit(HALF, [1, 2, 3, 4, 5])
+        assert len(calls) == 5 + 2 * 5
+
     def test_deterministic(self, report):
         again = bound_audit(HALF, [1, 2, 3], coeff_order=8)
         assert again.to_json() == report.to_json()

@@ -116,6 +116,15 @@ class TestGridEvaluation:
         assert eval_on_grid(mu, z, np.array([0.0]), "sp")[0] == 0.0
         assert eval_on_grid(mu, z, np.array([0.0]), "cq")[0] == 1.0
 
+    @pytest.mark.parametrize("mu", [Measure.lebesgue(), cantor(THIRD, 3)], ids=["lebesgue", "third-3"])
+    def test_sp_zero_is_positive_zero(self, mu):
+        # sp is carried negated in the (cp, -sp) column; plain negation back
+        # would turn +0.0 into -0.0, which prints as "-0"
+        assert math.copysign(1.0, boundary_values(mu, 0.0).sp) == 1.0
+        for z in (0.0, 9.0):
+            (sp,) = eval_on_grid(mu, z, [0.0], "sp")
+            assert sp == 0.0 and math.copysign(1.0, sp) == 1.0
+
     def test_constant_on_gaps(self):
         # sp and cq are measure antiderivatives: flat across zero-density gaps
         mu = cantor(HALF, 1)

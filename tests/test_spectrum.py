@@ -210,6 +210,63 @@ class TestEigenfunctions:
             assert count_zeros(eigenfunction(LEBESGUE, rec)) == rec.index + 1
 
 
+def _sampled_zero_count(ef):
+    """Zero count from samples alone: at least 8 points per quarter-period on
+    every piece, sign changes of ``eigenfunction_eval`` between them (exact
+    zeros skipped), plus the two boundary zeros for Dirichlet."""
+    z = ef.record.z
+    bp = [float(t) for t in ef.measure.breakpoints]
+    xs = []
+    for i, d in enumerate(ef.measure.densities):
+        h = bp[i + 1] - bp[i]
+        n = max(8, math.ceil(8 * h * z * math.sqrt(d) / (math.pi / 2)))
+        xs.extend(np.linspace(bp[i], bp[i + 1], n + 1)[:-1])
+    vals = eigenfunction_eval(ef, xs + [1.0])
+    if ef.boundary == "dirichlet":
+        vals = vals[1:-1]
+    signs = np.sign(vals[vals != 0.0])
+    flips = int(np.sum(signs[1:] != signs[:-1]))
+    return flips + (2 if ef.boundary == "dirichlet" else 0)
+
+
+def _assert_zero_counts_match_sampler(mu):
+    for boundary, count in (("neumann", 13), ("dirichlet", 12)):
+        for rec in find_eigenvalues(mu, boundary, count):
+            if rec.z == 0.0:
+                continue
+            ef = eigenfunction(mu, rec)
+            assert count_zeros(ef) == _sampled_zero_count(ef), (boundary, rec.index)
+
+
+class TestZeroCountAgainstSampler:
+    """The closed-form count against an independent dense sampler, m <= 12.
+
+    w = 1/2 Dirichlet is included: the solver skips a close root pair there,
+    but both counts look at the same eigenfunctions, so they must agree."""
+
+    @pytest.mark.parametrize("level", range(7))
+    @pytest.mark.parametrize("w", STANDARD_WEIGHTS, ids=str)
+    def test_cantor_levels(self, w, level):
+        _assert_zero_counts_match_sampler(cantor_approximant(CantorLevel(w, level)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(piecewise_measures())
+    def test_random_measures(self, mu):
+        _assert_zero_counts_match_sampler(mu)
+
+    @pytest.mark.parametrize("pieces", [2, 8, 12])
+    def test_zeros_on_breakpoints_count_once(self, pieces):
+        # Lebesgue measure cut into equal pieces: cos(m pi x) and sin(m pi x)
+        # vanish on breakpoints for many m, where rounding decides on which
+        # side of the breakpoint the computed zero falls
+        mu = Measure.from_pieces([F(k, pieces) for k in range(pieces + 1)], [1] * pieces)
+        for rec in find_eigenvalues(mu, "neumann", 13):
+            assert count_zeros(eigenfunction(mu, rec)) == rec.index
+        for rec in find_eigenvalues(mu, "dirichlet", 12):
+            assert count_zeros(eigenfunction(mu, rec)) == rec.index + 1
+        _assert_zero_counts_match_sampler(mu)
+
+
 def _l2_norm_quadrature(ef, mu, npts=40):
     nodes, wts = np.polynomial.legendre.leggauss(npts)
     total = 0.0
