@@ -39,7 +39,6 @@ from fractions import Fraction
 
 from .errors import (
     ConfigError,
-    DomainError,
     PrecisionError,
     ResourceError,
     ToolkitError,
@@ -502,8 +501,6 @@ def _exit_code(exc: ToolkitError) -> int:
         return 4
     if isinstance(exc, PrecisionError):
         return 3
-    if isinstance(exc, (ConfigError, DomainError)):
-        return 2
     return 2
 
 

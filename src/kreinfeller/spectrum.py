@@ -23,7 +23,6 @@ The scan-and-refine strategy:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -61,9 +60,12 @@ def _check_boundary(boundary: str) -> str:
 class EigenvalueRecord:
     """One certified eigenvalue.
 
-    ``error_bound`` is the certified bracket width plus the evaluation error
-    estimate at the root — an honest interval radius for ``z``, not a formal
-    proof of ``lambda``'s last digit.
+    ``error_bound`` is not an interval radius for ``z``.  It is the certified
+    bracket width ``bracket_hi - bracket_lo`` (in ``z``) plus ``err_est``, the
+    rounding estimate of the boundary value ``sp(1)`` or ``sq(1)`` at the root
+    (in units of that value, not of ``z``).  The second term usually dominates:
+    for w = 3/7, level 4, Dirichlet, m = 16 it reads 1.1e-3 on a bracket
+    3e-11 wide.  ROADMAP.md, direction 3, plans a sound bound.
     """
 
     index: int
@@ -418,10 +420,13 @@ def fem_oracle(
 
     The uniform mesh of width ``mesh_size`` must place a node on every
     breakpoint of the measure so element densities are constant and element
-    mass integrals are exact.  Nodes whose adjacent elements all carry zero
-    density contribute no mass; they are eliminated exactly by static
-    condensation before the generalized symmetric solve.  Each eigenvalue is
-    polished with one Rayleigh-quotient evaluation of its eigenvector.
+    mass integrals are exact.  The pencil lives on the nodes that carry mass:
+    a run of massless nodes between mass nodes ``a < b`` is springs in series,
+    whose exact static condensation is one spring of stiffness ``1/((b - a) h)``.
+    A Dirichlet end grounds the outermost mass node the same way; a massless
+    tail at a Neumann end is free and adds nothing.  Each eigenvalue is
+    polished by a Rayleigh quotient in energy form, a sum of squares over
+    springs, so it suffers no cancellation.
     """
     _check_boundary(boundary)
     if count < 1:
@@ -440,76 +445,33 @@ def fem_oracle(
     import scipy.linalg
 
     h = 1.0 / n
-    dens = _element_densities(mu, n)
-
-    size = n + 1
-    stiff = np.zeros((size, size))
-    mass = np.zeros((size, size))
-    for e in range(n):
-        k_loc = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        m_loc = dens[e] * h * np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
-        sl = slice(e, e + 2)
-        stiff[sl, sl] += k_loc
-        mass[sl, sl] += m_loc
-
+    dens = mu._dens[np.searchsorted(mu._bp, (np.arange(n) + 0.5) / n) - 1]
+    # node j touches elements j - 1 and j; keep the nodes that carry mass
+    node_mass = (np.append(0.0, dens) + np.append(dens, 0.0)) * h / 3.0
+    keep = np.flatnonzero(node_mass > 0.0)
     if boundary == DIRICHLET:
-        keep = np.arange(1, n)
-    else:
-        keep = np.arange(0, n + 1)
-    stiff = stiff[np.ix_(keep, keep)]
-    mass = mass[np.ix_(keep, keep)]
-
-    massless = np.abs(np.diag(mass)) == 0.0
-    if massless.any():
-        stiff, mass = _condense(stiff, mass, massless)
-    if np.any(np.diag(mass) <= 0.0):
-        raise PrecisionError("mass matrix is singular on the support; refine the mesh")
-
-    if count > stiff.shape[0]:
+        keep = keep[(keep > 0) & (keep < n)]
+    if count > keep.size:
         raise ConfigError(
             f"requested {count} eigenvalues but the condensed system has only "
-            f"{stiff.shape[0]} degrees of freedom; refine the mesh"
+            f"{keep.size} degrees of freedom; refine the mesh"
         )
 
-    stiff = 0.5 * (stiff + stiff.T)
-    mass = 0.5 * (mass + mass.T)
-    vals, vecs = scipy.linalg.eigh(stiff, mass, subset_by_index=[0, count - 1])
+    spring = 1.0 / (np.diff(keep) * h)
+    ground = (0.0, 0.0)
+    if boundary == DIRICHLET:
+        ground = (1.0 / (keep[0] * h), 1.0 / ((n - keep[-1]) * h))
+    m_diag = node_mass[keep]
+    # element a joins mass nodes a and a + 1; past a massless node it is empty
+    m_off = dens[keep[:-1]] * h / 6.0
+    stiff = np.diag(np.append(ground[0], spring) + np.append(spring, ground[1]))
+    mass = np.diag(m_diag)
+    upper = (np.arange(keep.size - 1), np.arange(1, keep.size))
+    stiff[upper] = stiff[upper[::-1]] = -spring
+    mass[upper] = mass[upper[::-1]] = m_off
+    _, vecs = scipy.linalg.eigh(stiff, mass, subset_by_index=[0, count - 1])
 
-    polished = []
-    for j in range(count):
-        u = vecs[:, j]
-        num = float(u @ stiff @ u)
-        den = float(u @ mass @ u)
-        polished.append(num / den)
-    polished.sort()
-    return polished
-
-
-def _element_densities(mu: Measure, n: int) -> np.ndarray:
-    bps = [float(b) for b in mu.breakpoints]
-    dens = [float(d) for d in mu.densities]
-    out = np.empty(n)
-    for e in range(n):
-        mid = (e + 0.5) / n
-        i = bisect_right(bps, mid) - 1
-        i = min(max(i, 0), len(dens) - 1)
-        out[e] = dens[i]
-    return out
-
-
-def _condense(stiff: np.ndarray, mass: np.ndarray, massless: np.ndarray):
-    """Eliminate zero-mass rows exactly: u_g = -K_gg^{-1} K_gm u_m."""
-    import scipy.linalg
-
-    g = np.nonzero(massless)[0]
-    m = np.nonzero(~massless)[0]
-    k_gg = stiff[np.ix_(g, g)]
-    k_gm = stiff[np.ix_(g, m)]
-    k_mm = stiff[np.ix_(m, m)]
-    try:
-        sol = scipy.linalg.solve(k_gg, k_gm, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
-        raise PrecisionError(f"static condensation failed: {exc}") from exc
-    k_red = k_mm - k_gm.T @ sol
-    m_red = mass[np.ix_(m, m)]
-    return k_red, m_red
+    energy = spring @ np.diff(vecs, axis=0) ** 2
+    energy += ground[0] * vecs[0] ** 2 + ground[1] * vecs[-1] ** 2
+    weight = m_diag @ vecs**2 + 2.0 * (m_off @ (vecs[:-1] * vecs[1:]))
+    return sorted((energy / weight).tolist())

@@ -281,6 +281,46 @@ def _l2_norm_quadrature(ef, mu, npts=40):
     return math.sqrt(total)
 
 
+def _dense_fem_reference(mu, n, count, boundary):
+    """P1 eigenvalues the long way: dense K and M on every node, then a Schur
+    complement over the massless nodes."""
+    import scipy.linalg
+
+    h = 1.0 / n
+    k_loc = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+    m_loc = np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+    stiff = np.zeros((n + 1, n + 1))
+    mass = np.zeros((n + 1, n + 1))
+    for e in range(n):
+        piece = sum(1 for b in mu.breakpoints[1:] if b <= F(e, n))
+        stiff[e : e + 2, e : e + 2] += k_loc
+        mass[e : e + 2, e : e + 2] += float(mu.densities[piece]) * m_loc
+    nodes = np.arange(1, n) if boundary == "dirichlet" else np.arange(n + 1)
+    stiff, mass = stiff[np.ix_(nodes, nodes)], mass[np.ix_(nodes, nodes)]
+    g = np.diag(mass) == 0.0
+    s = ~g
+    k_red = stiff[np.ix_(s, s)]
+    if g.any():
+        k_red = k_red - stiff[np.ix_(s, g)] @ np.linalg.solve(stiff[np.ix_(g, g)], stiff[np.ix_(g, s)])
+    k_red = 0.5 * (k_red + k_red.T)
+    top = min(count, int(s.sum())) - 1
+    return scipy.linalg.eigh(k_red, mass[np.ix_(s, s)], eigvals_only=True, subset_by_index=[0, top])
+
+
+# Cantor levels 1-4 plus hand-built measures with massless end and middle pieces
+DENSE_REFERENCE_MEASURES = [cantor(F(1, 3), F(2, 3), lvl) for lvl in (1, 2, 3, 4)] + [
+    cantor(F(2, 5), F(3, 5), 3),
+    Measure.from_pieces([0, F(1, 9), F(2, 3), 1], [0, F(9, 5), 0]),
+    Measure.from_pieces([0, F(1, 3), 1], [0, F(3, 2)]),
+    Measure.from_pieces([0, F(1, 9), F(5, 9), 1], [1, 0, 2]),
+    Measure.from_pieces([0, F(1, 3), F(10, 27), 1], [1, 0, F(18, 17)]),
+]
+DENSE_REFERENCE_IDS = [
+    "w1_3-l1", "w1_3-l2", "w1_3-l3", "w1_3-l4", "w2_5-l3",
+    "massless-both-ends", "massless-left-end", "massless-middle", "one-element-gap",
+]
+
+
 class TestFemOracle:
     def test_lebesgue_agreement(self):
         fem = fem_oracle(LEBESGUE, 1.0 / 729, 4, "neumann")
@@ -326,6 +366,46 @@ class TestFemOracle:
     def test_count_exceeding_dofs_rejected(self):
         with pytest.raises(ConfigError):
             fem_oracle(LEBESGUE, 1.0 / 3, 10, "dirichlet")
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_lebesgue_matches_discrete_closed_form(self, k, boundary):
+        # P1 on a uniform mesh: lambda_h(m) = (6/h^2)(1 - cos m pi h)/(2 + cos m pi h),
+        # written with 1 - cos x = 2 sin^2(x/2) to keep the reference exact
+        h = 3.0**-k
+        first = 0 if boundary == "neumann" else 1
+        fem = fem_oracle(LEBESGUE, h, 6, boundary)
+        for m, value in enumerate(fem, start=first):
+            if m == 0:
+                assert abs(value) <= 1e-15
+                continue
+            x = m * math.pi * h
+            exact = (12.0 / h**2) * math.sin(x / 2) ** 2 / (2.0 + math.cos(x))
+            assert abs(value - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("mu", DENSE_REFERENCE_MEASURES, ids=DENSE_REFERENCE_IDS)
+    def test_matches_dense_condensation(self, mu, boundary):
+        for k in (3, 4, 5):
+            n = 3**k
+            if any((b * n).denominator != 1 for b in mu.breakpoints):
+                continue
+            ref = _dense_fem_reference(mu, n, 6, boundary)
+            fem = fem_oracle(mu, 3.0**-k, len(ref), boundary)
+            assert fem == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+    def test_memory_stays_on_mass_nodes(self):
+        import tracemalloc
+
+        mu = cantor(F(2, 5), F(3, 5), 5)
+        fem_oracle(mu, 3.0**-5, 2, "neumann")  # imports done outside the trace
+        tracemalloc.start()
+        try:
+            fem_oracle(mu, 3.0**-8, 7, "neumann")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestErrorPaths:
