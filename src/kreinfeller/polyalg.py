@@ -1,7 +1,8 @@
 """Piecewise-polynomial arithmetic for the iterated-integral recursions.
 
-Polynomials live on the same rational breakpoint grid as a Measure and
-store per-piece coefficient vectors in the local variable s = x - t_{i-1}.
+Polynomials live on a Measure's own rational breakpoints (integrate_dmu
+checks this; integrate_dt keeps the grid it is given) and store
+per-piece coefficient vectors in the local variable s = x - t_{i-1}.
 The local representation keeps short deep-level pieces well conditioned.
 Coefficients are plain floats; every coefficient produced by the
 recursions here is nonnegative, so the integral operators below involve
@@ -14,7 +15,6 @@ functions of the measure trigonometric series.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,12 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ResourceError
+from .errors import ConfigError, DomainError
 from .measures import Measure
 
 DEFAULT_DEGREE_CAP = 64
 CONTINUITY_RTOL = 1e-13
-GRID_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -114,64 +113,12 @@ class PiecewisePolynomial:
         ell = float(self.grid[-1] - self.grid[-2])
         return _horner(self.pieces[-1], ell)
 
-    # -- linear structure (test plumbing) ---------------------------------
-
-    def scale(self, a: float) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            self.grid, tuple(tuple(a * c for c in p) for p in self.pieces), self.degree_cap
-        )
-
-    def add(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
-        grid = merge_grids(self.grid, other.grid)
-        f, g = self.refine_to(grid), other.refine_to(grid)
-        pieces = []
-        for pa, pb in zip(f.pieces, g.pieces):
-            n = max(len(pa), len(pb))
-            pieces.append(tuple((pa[j] if j < len(pa) else 0.0) + (pb[j] if j < len(pb) else 0.0)
-                                for j in range(n)))
-        return PiecewisePolynomial(grid, tuple(pieces), max(self.degree_cap, other.degree_cap))
-
-    def refine_to(self, grid: tuple[Fraction, ...]) -> "PiecewisePolynomial":
-        """Re-express on a finer grid (which must contain this one's)."""
-        if grid == self.grid:
-            return self
-        own = set(self.grid)
-        if not own.issubset(set(grid)):
-            raise DomainError("refinement grid must contain the original breakpoints")
-        pieces = []
-        for k in range(len(grid) - 1):
-            i = bisect.bisect_right(self.grid, grid[k]) - 1
-            i = min(i, len(self.pieces) - 1)
-            shift = float(grid[k] - self.grid[i])
-            pieces.append(_shift_poly(self.pieces[i], shift))
-        return PiecewisePolynomial(grid, tuple(pieces), self.degree_cap)
-
 
 def _horner(coeffs: Sequence[float], s: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * s + c
     return acc
-
-
-def _shift_poly(coeffs: Sequence[float], h: float) -> tuple[float, ...]:
-    """Coefficients of p(s + h) given those of p(s) (Taylor shift)."""
-    if h == 0.0:
-        return tuple(coeffs)
-    out = list(coeffs)
-    n = len(out)
-    # synthetic division applied repeatedly: exact Taylor shift in O(n^2)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += h * out[j + 1]
-    return tuple(out)
-
-
-def merge_grids(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    merged = sorted(set(a) | set(b))
-    if len(merged) > GRID_CAP:
-        raise ResourceError(f"merged grid of {len(merged)} breakpoints exceeds cap {GRID_CAP}")
-    return tuple(merged)
 
 
 def _piece_integral(coeffs: Sequence[float], ell: float) -> float:
@@ -199,25 +146,21 @@ def integrate_dt(f: PiecewisePolynomial) -> PiecewisePolynomial:
 def integrate_dmu(f: PiecewisePolynomial, mu: Measure) -> PiecewisePolynomial:
     """Measure antiderivative x -> integral_0^x f dmu for piecewise-constant dmu.
 
-    On each common-refinement piece the integrand contributes density * f,
-    so this is integrate_dt with per-piece density weights; the result is
-    constant across zero-density pieces.
+    f must live on mu's breakpoints.  On each piece the integrand is
+    density * f, so this is integrate_dt with per-piece density weights;
+    the result is constant across zero-density pieces.
     """
     if f.degree + 1 > f.degree_cap:
         raise ConfigError(f"integration would exceed degree cap {f.degree_cap}; raise the cap")
-    grid = merge_grids(f.grid, mu.breakpoints)
-    g = f.refine_to(grid)
-    dens = [float(mu.densities[min(bisect.bisect_right(mu.breakpoints, grid[k]) - 1,
-                                   len(mu.densities) - 1)])
-            for k in range(len(grid) - 1)]
+    if f.grid != mu.breakpoints:
+        raise DomainError("integrate_dmu needs a polynomial on the measure's breakpoints")
     pieces = []
     acc = 0.0
-    for i, coeffs in enumerate(g.pieces):
-        d = dens[i]
-        ell = float(grid[i + 1] - grid[i])
+    for i, (coeffs, d) in enumerate(zip(f.pieces, mu._dens.tolist())):
         if d == 0.0:
             pieces.append((acc,))
         else:
+            ell = float(f.grid[i + 1] - f.grid[i])
             pieces.append((acc,) + tuple(d * c / (j + 1) for j, c in enumerate(coeffs)))
             acc += d * _piece_integral(coeffs, ell)
-    return PiecewisePolynomial(grid, tuple(pieces), g.degree_cap)
+    return PiecewisePolynomial(f.grid, tuple(pieces), f.degree_cap)

@@ -16,11 +16,20 @@ sin and cos.  Coefficients obey the factorial bounds
     p_{2n+1}(x) <= q_2(x)^n/n!,   p_{2n}(x) <= p_2(x)^n/n!,
     q_{2n+1}(x) <= p_2(x)^n/n!,   q_{2n}(x) <= q_2(x)^n/n!,
 
-which give every truncated evaluation a certified tail bound.  Partial
-sums are accumulated with math.fsum in fixed ascending order, so the
-only float error is per-term representation noise; certificates cover
-truncation only.  All coefficients are nonnegative, so table builds
-involve no cancellation.
+which give every truncated evaluation a certified tail bound.  All
+coefficients are nonnegative, so table builds involve no cancellation.
+
+Users: the bound audit (convergence.bound_audit) needs build_table and
+TrigTable; acceptance criterion 3 needs null_sum_plain and
+null_sum_weighted.  sinp/sinq/cosp/cosq, their four z-derivatives and
+cp_eval/sq_eval are the independent reference that the tests compare
+propagation.boundary_values and eval_on_grid against.
+
+Every series value is one call of _alternating_sum: the terms
+(-1)^n * w * z**k * c are formed left to right and added with math.fsum,
+so the only float error is per-term representation noise.  Overflow rule:
+a term whose power z**k would exceed e^700 is taken as zero.  Certificates
+(_certify) cover truncation only, not such dropped terms.
 """
 
 from __future__ import annotations
@@ -105,7 +114,7 @@ def default_order(z_max: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tail bounds
+# tail bounds and the summation kernel
 
 
 def _factorial_tail(r: float, start: int, deriv_weight: int = 0) -> float:
@@ -113,27 +122,30 @@ def _factorial_tail(r: float, start: int, deriv_weight: int = 0) -> float:
 
     w(n) = 1, or (2n+1) for odd-family derivatives (deriv_weight=1), or
     2n for even-family derivatives (deriv_weight=2).  Walks terms in log
-    space and closes with a geometric majorant once the term ratio drops
-    below 1/2.
+    space and closes with a geometric majorant once the term ratio, which
+    decreases in n, drops below 1/2.
     """
     if r <= 0.0:
         return 0.0
     log_r = math.log(r)
     total = 0.0
-    n = start
+    n = max(start, 1) if deriv_weight == 2 else start
     while True:
         log_t = n * log_r - math.lgamma(n + 1)
         if deriv_weight == 1:
             log_t += math.log(2 * n + 1)
-        elif deriv_weight == 2 and n > 0:
+        elif deriv_weight == 2:
             log_t += math.log(2 * n)
         if log_t > _LOG_HUGE:
             return math.inf
         term = math.exp(log_t)
         # ratio of consecutive terms, including the polynomial weight
-        ratio = r / (n + 1)
-        if deriv_weight:
-            ratio *= (2 * n + 3) / max(2 * n + 1, 1)
+        if deriv_weight == 2:
+            ratio = r / n
+        else:
+            ratio = r / (n + 1)
+            if deriv_weight:
+                ratio *= (2 * n + 3) / (2 * n + 1)
         if ratio < 0.5:
             return total + term * (1.0 + ratio / (1.0 - ratio))
         total += term
@@ -142,51 +154,40 @@ def _factorial_tail(r: float, start: int, deriv_weight: int = 0) -> float:
             return math.inf
 
 
-def _require_tol(tail: float, tol: float | None, z: float, r_unit: float,
-                 order: int, prefactor: float, deriv_weight: int) -> None:
-    if tol is None or tail <= tol:
-        return
-    n = order + 1
-    while n < order + 200_000:
-        t = prefactor * _factorial_tail(r_unit, n + 1, deriv_weight)
-        if t <= tol:
-            # minimal sufficient order, found by the ascending walk
-            raise OrderError(
-                f"tail bound {tail:.3e} exceeds tolerance {tol:.3e} at order {order}; "
-                f"increase order to {n}", n)
-        n += 1
-    raise OrderError(
-        f"tolerance {tol:.3e} unreachable in float range for z={z}", n)
+def _certify(z: float, order: int, r: float, prefactor: float, deriv_weight: int,
+             tol: float | None) -> TruncationCertificate:
+    """Certificate for a truncation at `order`: prefactor * factorial tail in r.
 
-
-def _sum_terms(one_vals, z: float, odd: bool, order: int) -> float:
-    """Partial sum of the alternating series, fixed ascending order.
-
-    Terms are z^(2n+odd) * coeff; the power is taken through math.pow
-    while it stays in range and through a scaled mantissa/exponent
-    product beyond that (where genuine terms are already negligible).
+    Raises OrderError naming the minimal sufficient order when the tail
+    exceeds tol.
     """
-    terms = []
-    z2 = z * z
-    abs_z = abs(z)
-    log_z = math.log(abs_z) if abs_z > 0 else -math.inf
-    m, e = (z if odd else 1.0), 0
-    for n in range(order + 1):
-        k = 2 * n + 1 if odd else 2 * n
-        coeff = one_vals[k]
-        exponent_log = k * log_z if abs_z > 0 else (0.0 if k == 0 else -math.inf)
-        if exponent_log < _LOG_HUGE:
-            power = abs_z**k if abs_z > 0 else (0.0 if k else 1.0)
-            if odd and z < 0:
-                power = -power
-            term = power * coeff
-        else:
-            term = math.ldexp(m * coeff, e)
-        terms.append(term if n % 2 == 0 else -term)
-        m *= z2
-        m, de = math.frexp(m)
-        e += de
-    return math.fsum(terms)
+    tail = prefactor * _factorial_tail(r, order + 1, deriv_weight)
+    if tol is not None and tail > tol:
+        n = order + 1
+        while n < order + 200_000:
+            if prefactor * _factorial_tail(r, n + 1, deriv_weight) <= tol:
+                raise OrderError(
+                    f"tail bound {tail:.3e} exceeds tolerance {tol:.3e} at order {order}; "
+                    f"increase order to {n}", n)
+            n += 1
+        raise OrderError(f"tolerance {tol:.3e} unreachable in float range for z={z}", n)
+    return TruncationCertificate(z, order, tail)
+
+
+def _alternating_sum(z: float, terms) -> float:
+    """math.fsum of (-1)^n * w * z**k * c over (n, w, k, c) in ascending n.
+
+    Each term is computed left to right as w * z**k * c.  A term whose
+    power would overflow (k ln|z| >= 700) is taken as zero.
+    """
+    log_z = math.log(abs(z)) if z else -math.inf
+    out = []
+    for n, w, k, c in terms:
+        if k and k * log_z >= _LOG_HUGE:
+            continue
+        t = w * z**k * c
+        out.append(-t if n % 2 else t)
+    return math.fsum(out)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +196,10 @@ def _sum_terms(one_vals, z: float, odd: bool, order: int) -> float:
 
 def _eval(table: TrigTable, z: float, odd: bool, one_vals, bound_base: float,
           tol: float | None) -> tuple[float, TruncationCertificate]:
-    r = z * z * bound_base
-    prefactor = abs(z) if odd else 1.0
-    tail = prefactor * _factorial_tail(r, table.order + 1)
-    _require_tol(tail, tol, z, r, table.order, prefactor, 0)
-    value = _sum_terms(one_vals, z, odd, table.order)
-    return value, TruncationCertificate(z, table.order, tail)
+    N = table.order
+    cert = _certify(z, N, z * z * bound_base, abs(z) if odd else 1.0, 0, tol)
+    terms = ((k // 2, 1, k, one_vals[k]) for k in range(odd, 2 * N + 2, 2))
+    return _alternating_sum(z, terms), cert
 
 
 def sinp(table: TrigTable, z: float, tol: float | None = None):
@@ -219,17 +218,6 @@ def cosq(table: TrigTable, z: float, tol: float | None = None):
     return _eval(table, z, False, table.q_one, table.q2_at_one, tol)
 
 
-def _pow(z: float, k: int) -> float | None:
-    """z**k, or None when it would overflow (terms there are negligible)."""
-    if k == 0:
-        return 1.0
-    if z == 0.0:
-        return 0.0
-    if k * math.log(abs(z)) >= _LOG_HUGE:
-        return None
-    return z**k
-
-
 def _eval_prime(table: TrigTable, z: float, odd: bool, one_vals, bound_base: float,
                 tol: float | None) -> tuple[float, TruncationCertificate]:
     """Termwise z-derivative of the truncated series.
@@ -239,24 +227,14 @@ def _eval_prime(table: TrigTable, z: float, odd: bool, one_vals, bound_base: flo
     Even family: sum (-1)^n (2n) z^(2n-1) coeff_{2n}.
     """
     N = table.order
-    terms = []
+    r = z * z * bound_base
     if odd:
-        for n in range(N + 1):
-            p = _pow(z, 2 * n)
-            t = (2 * n + 1) * p * one_vals[2 * n + 1] if p is not None else 0.0
-            terms.append(t if n % 2 == 0 else -t)
-        r = z * z * bound_base
-        tail = _factorial_tail(r, N + 1, deriv_weight=1)
-        _require_tol(tail, tol, z, r, N, 1.0, 1)
+        cert = _certify(z, N, r, 1.0, 1, tol)
+        terms = ((n, 2 * n + 1, 2 * n, one_vals[2 * n + 1]) for n in range(N + 1))
     else:
-        for n in range(1, N + 1):
-            p = _pow(z, 2 * n - 1)
-            t = (2 * n) * p * one_vals[2 * n] if p is not None else 0.0
-            terms.append(-t if n % 2 == 1 else t)
-        r = z * z * bound_base
-        tail = (_factorial_tail(r, N + 1, deriv_weight=2) / abs(z)) if z != 0.0 else 0.0
-        _require_tol(tail, tol, z, r, N, 1.0 / abs(z) if z else 1.0, 2)
-    return math.fsum(terms), TruncationCertificate(z, N, tail)
+        cert = _certify(z, N, r, 1.0 / abs(z) if z else 1.0, 2, tol)
+        terms = ((n, 2 * n, 2 * n - 1, one_vals[2 * n]) for n in range(1, N + 1))
+    return _alternating_sum(z, terms), cert
 
 
 def sinp_prime(table: TrigTable, z: float, tol: float | None = None):
@@ -275,21 +253,6 @@ def cosq_prime(table: TrigTable, z: float, tol: float | None = None):
     return _eval_prime(table, z, False, table.q_one, table.q2_at_one, tol)
 
 
-def sinp_prime_at_zero_form(table: TrigTable, z: float) -> float:
-    """The reduced derivative expression valid only where sinp(z) = 0.
-
-    At a zero of sinp, sum (-1)^n z^(2n+1) p_{2n+1}(1) = 0 allows dropping
-    the n=0 part of each term weight: sum (-1)^n 2n z^(2n) p_{2n+1}(1).
-    Kept for cross-checking against the full derivative at eigenvalues.
-    """
-    terms = []
-    for n in range(table.order + 1):
-        p = _pow(z, 2 * n)
-        t = (2 * n) * p * table.p_one[2 * n + 1] if p is not None else 0.0
-        terms.append(t if n % 2 == 0 else -t)
-    return math.fsum(terms)
-
-
 # ---------------------------------------------------------------------------
 # x-dependent evaluation
 
@@ -299,17 +262,10 @@ def _eval_at_x(table: TrigTable, z: float, x: float, odd: bool, funs,
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"evaluation point {x} outside [0,1]")
     N = table.order
-    terms = []
-    for n in range(N + 1):
-        k = 2 * n + 1 if odd else 2 * n
-        p = _pow(z, k)
-        t = p * funs[k].eval(x) if p is not None else 0.0
-        terms.append(t if n % 2 == 0 else -t)
-    r = z * z * bound_fun.eval(x)
-    prefactor = abs(z) if odd else 1.0
-    tail = prefactor * _factorial_tail(r, N + 1)
-    _require_tol(tail, tol, z, r, N, prefactor, 0)
-    return math.fsum(terms), TruncationCertificate(z, N, tail)
+    terms = ((k // 2, 1, k, funs[k].eval(x)) for k in range(odd, 2 * N + 2, 2))
+    value = _alternating_sum(z, terms)
+    cert = _certify(z, N, z * z * bound_fun.eval(x), abs(z) if odd else 1.0, 0, tol)
+    return value, cert
 
 
 def cp_eval(table: TrigTable, z: float, x: float, tol: float | None = None):
@@ -320,14 +276,6 @@ def cp_eval(table: TrigTable, z: float, x: float, tol: float | None = None):
 def sq_eval(table: TrigTable, z: float, x: float, tol: float | None = None):
     """sq_z(x): the Dirichlet eigenfunction series when z^2 is an eigenvalue."""
     return _eval_at_x(table, z, x, True, table.q_fun, table.p_fun[2], tol)
-
-
-def sp_eval(table: TrigTable, z: float, x: float, tol: float | None = None):
-    return _eval_at_x(table, z, x, True, table.p_fun, table.q_fun[2], tol)
-
-
-def cq_eval(table: TrigTable, z: float, x: float, tol: float | None = None):
-    return _eval_at_x(table, z, x, False, table.q_fun, table.q_fun[2], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +305,11 @@ def _null_sum(table: TrigTable, lam: float, weighted: bool) -> tuple[float, floa
     """
     N = table.order
     p1 = table.p_one
-    log_lam = math.log(lam) if lam > 0 else -math.inf
-    terms = []
-    for n in range(N + 1):
-        inner = math.fsum(
-            (2 * k if weighted else 1.0) * p1[2 * k] * p1[2 * (n - k) + 1]
-            for k in range(n + 1)
-        )
-        t = lam**n * inner if (n == 0 or n * log_lam < _LOG_HUGE) else 0.0
-        terms.append(t if n % 2 == 0 else -t)
+    inner = [
+        math.fsum((2 * k if weighted else 1.0) * p1[2 * k] * p1[2 * (n - k) + 1]
+                  for k in range(n + 1))
+        for n in range(N + 1)
+    ]
+    value = _alternating_sum(lam, ((n, 1, n, c) for n, c in enumerate(inner)))
     r = lam * (table.p2_at_one + table.q2_at_one)
-    tail = _factorial_tail(r, N + 1, deriv_weight=2 if weighted else 0)
-    return math.fsum(terms), tail
+    return value, _factorial_tail(r, N + 1, deriv_weight=2 if weighted else 0)
