@@ -34,7 +34,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -96,6 +96,24 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse levels {text!r}: {exc}") from None
 
 
+def _parse_m_list(text: str) -> tuple[int, ...]:
+    """Eigenvalue indices, comma separated."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse m {text!r}: {exc}") from None
+
+
+def _parse_order(text: str) -> int | None:
+    """Coefficient table order: an integer, or 'auto' for None."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"order must be an integer or 'auto', got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run request; construction rejects inconsistent options."""
@@ -107,6 +125,8 @@ class RunConfig:
     boundary: str = "neumann"
     m_max: int = 4
     m_index: int = 1
+    m_list: tuple[int, ...] = ()  # eigfun indices; empty means (m_index,)
+    normalized: bool = False
     tol: float = 1e-12
     order: int | None = None  # None means automatic
     z_max: float = 12.0
@@ -119,7 +139,6 @@ class RunConfig:
     out_path: str | None = None
     format: str = "csv"
     threads: int | None = None
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -149,8 +168,9 @@ class RunConfig:
                 )
         if self.m_max < 0:
             raise ConfigError(f"m-max must be nonnegative, got {self.m_max}")
-        if self.m_index < 0:
-            raise ConfigError(f"m must be nonnegative, got {self.m_index}")
+        for m in (self.m_index, *self.m_list):
+            if m < 0:
+                raise ConfigError(f"m must be nonnegative, got {m}")
         if self.order is not None and self.order < 2:
             raise ConfigError(f"order must be >= 2 (or omitted for automatic), got {self.order}")
         if self.z_max <= 0:
@@ -188,6 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, *, levels: bool = False) -> None:
         p.add_argument(
             "--w",
+            dest="weight",
+            type=_parse_weight,
             default="0.5",
             metavar="W",
             help="first branch weight, decimal or fraction (default 0.5); the second is 1-W",
@@ -195,6 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if levels:
             p.add_argument(
                 "--levels",
+                type=_parse_levels,
                 default="1:3",
                 metavar="A:B",
                 help="refinement levels, inclusive range a:b or comma list (default 1:3)",
@@ -203,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=int, default=0, help="refinement level (default 0)")
         p.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP, help="maximum refinement level accepted (default %(default)s)")
         p.add_argument("--tol", type=float, default=1e-12, help="root-finding tolerance (default %(default)s)")
-        p.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
+        p.add_argument("--out", dest="out_path", default=None, metavar="PATH", help="output file (default: stdout)")
         p.add_argument("--format", choices=FORMATS, default="csv", help="output format (default csv)")
         p.add_argument("--threads", type=int, default=None, help="pin BLAS/OpenMP thread count before numpy loads")
 
@@ -216,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fun = sub.add_parser("eigfun", help="eigenfunction samples on a measure-adapted grid")
     common(p_fun)
     p_fun.add_argument("--boundary", choices=BOUNDARIES, default="neumann", help="boundary condition (default neumann)")
-    p_fun.add_argument("--m", default="1", metavar="M[,M..]", help="eigenvalue indices to sample, comma separated (default 1)")
+    p_fun.add_argument("--m", dest="m_list", type=_parse_m_list, default="1", metavar="M[,M..]", help="eigenvalue indices to sample, comma separated (default 1)")
     p_fun.add_argument("--x-points", type=int, default=16, help="uniform samples per density interval (default 16)")
     p_fun.add_argument("--normalized", action="store_true", help="scale each eigenfunction to unit L2(measure) norm")
     p_fun.add_argument("--scan-ceiling", type=float, default=500.0, help="abort the root scan past this frequency (default 500)")
@@ -229,13 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rates = sub.add_parser("rates", help="convergence-rate report across refinement levels")
     common(p_rates, levels=True)
     p_rates.add_argument("--boundary", choices=BOUNDARIES, default="neumann", help="boundary condition (default neumann)")
-    p_rates.add_argument("--kind", choices=RATE_KINDS, default="eigenvalue", help="track eigenvalues or one eigenfunction (default eigenvalue)")
+    p_rates.add_argument("--kind", dest="rate_kind", choices=RATE_KINDS, default="eigenvalue", help="track eigenvalues or one eigenfunction (default eigenvalue)")
     p_rates.add_argument("--m-max", type=int, default=3, help="largest eigenvalue index tracked (default 3)")
-    p_rates.add_argument("--m", default="1", help="eigenfunction index for --kind eigenfunction (default 1)")
+    p_rates.add_argument("--m", dest="m_index", type=int, default=1, metavar="M", help="eigenfunction index for --kind eigenfunction (default 1)")
 
     p_audit = sub.add_parser("audit", help="audit proven bounds on a family of approximants")
     common(p_audit, levels=True)
-    p_audit.add_argument("--order", default="auto", help="coefficient table order, integer or 'auto' (default auto, which is 12)")
+    p_audit.add_argument("--order", type=_parse_order, default="auto", help="coefficient table order, integer or 'auto' (default auto, which is 12)")
 
     p_cmp = sub.add_parser("oracle-compare", help="spectral solver vs. finite-element oracle")
     common(p_cmp)
@@ -248,52 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_argv(argv: list[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    order: int | None
-    raw_order = getattr(ns, "order", "auto")
-    if raw_order == "auto":
-        order = None
-    else:
-        try:
-            order = int(raw_order)
-        except ValueError:
-            raise ConfigError(f"order must be an integer or 'auto', got {raw_order!r}") from None
-
-    m_list: tuple[int, ...] = ()
-    if hasattr(ns, "m"):
-        try:
-            m_list = tuple(int(part) for part in str(ns.m).split(","))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse m {ns.m!r}: {exc}") from None
-        if not m_list:
-            raise ConfigError("at least one m index is required")
-
-    kwargs = dict(
-        command=ns.command,
-        weight=_parse_weight(ns.w),
-        boundary=getattr(ns, "boundary", "neumann"),
-        m_max=getattr(ns, "m_max", 4),
-        m_index=m_list[0] if m_list else 1,
-        tol=ns.tol,
-        order=order,
-        z_max=getattr(ns, "z_max", 12.0),
-        z_points=getattr(ns, "z_points", 601),
-        x_points=getattr(ns, "x_points", 16),
-        scan_ceiling=getattr(ns, "scan_ceiling", 500.0),
-        mesh_power=getattr(ns, "mesh_power", 5),
-        rate_kind=getattr(ns, "kind", "eigenvalue"),
-        level_cap=ns.level_cap,
-        out_path=ns.out,
-        format=ns.format,
-        threads=ns.threads,
-        extra={"m_list": m_list, "normalized": getattr(ns, "normalized", False)},
-    )
-    if hasattr(ns, "levels"):
-        kwargs["levels"] = _parse_levels(ns.levels)
-        kwargs["level"] = 0
-    else:
-        kwargs["level"] = ns.level
-    return RunConfig(**kwargs)
+    return RunConfig(**vars(_build_parser().parse_args(argv)))
 
 
 # --------------------------------------------------------------------------
@@ -381,8 +359,7 @@ def _run_eigvals(cfg: RunConfig):
 def _run_eigfun(cfg: RunConfig):
     from .spectrum import eigenfunction, eigenfunction_eval, find_eigenvalues
 
-    m_list = tuple(cfg.extra.get("m_list") or (cfg.m_index,))
-    normalized = bool(cfg.extra.get("normalized", False))
+    m_list = cfg.m_list or (cfg.m_index,)
     w, mu = _measure_for(cfg)
     if cfg.boundary == "dirichlet" and min(m_list) < 1:
         raise ConfigError("dirichlet indices start at m=1")
@@ -397,14 +374,14 @@ def _run_eigfun(cfg: RunConfig):
         if m not in by_index:
             raise ConfigError(f"index {m} not available for boundary {cfg.boundary}")
         ef = eigenfunction(mu, by_index[m])
-        values = eigenfunction_eval(ef, xs, normalized=normalized)
+        values = eigenfunction_eval(ef, xs, normalized=cfg.normalized)
         columns.append([float(v) for v in values])
     rows = [tuple(header)]
     for i, x in enumerate(xs):
         rows.append((_fmt(x),) + tuple(_fmt(col[i]) for col in columns))
     doc = _json_header(cfg, w)
     doc["boundary"] = cfg.boundary
-    doc["normalized"] = normalized
+    doc["normalized"] = cfg.normalized
     doc["x"] = xs
     doc["values"] = {str(m): columns[j] for j, m in enumerate(m_list)}
     doc["z"] = {str(m): by_index[m].z for m in m_list}

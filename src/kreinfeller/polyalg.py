@@ -10,7 +10,12 @@ no cancellation and rounding stays at the ulp level.
 
 The two operators of interest map f to x -> integral_0^x f dt and
 x -> integral_0^x f dmu; alternating them builds the coefficient
-functions of the measure trigonometric series.
+functions of the measure trigonometric series.  Both are one operator,
+_integrate, with per-piece density weights (all 1.0 for dt).  Degrees
+are not capped: build_table stops at index 2*order + 1, so the order
+alone bounds them.  eval_many runs one Horner pass over all points on
+the coefficient rows zero-padded to a common length; the padding keeps
+every value bit-identical to a per-piece Horner loop.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .measures import Measure
 
-DEFAULT_DEGREE_CAP = 64
 CONTINUITY_RTOL = 1e-13
 
 
@@ -39,7 +43,6 @@ class PiecewisePolynomial:
 
     grid: tuple[Fraction, ...]
     pieces: tuple[tuple[float, ...], ...]
-    degree_cap: int = DEFAULT_DEGREE_CAP
     _grid_f: np.ndarray = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -49,8 +52,6 @@ class PiecewisePolynomial:
             raise DomainError("grid must span [0,1]")
         if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
             raise DomainError("grid must be strictly increasing")
-        if any(len(c) - 1 > self.degree_cap for c in self.pieces):
-            raise ConfigError(f"piece degree exceeds cap {self.degree_cap}")
         object.__setattr__(self, "_grid_f", np.array([float(t) for t in self.grid]))
 
     def continuity_defect(self) -> float:
@@ -74,24 +75,16 @@ class PiecewisePolynomial:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, grid: Sequence[Fraction], degree_cap: int = DEFAULT_DEGREE_CAP):
+    def constant(cls, value: float, grid: Sequence[Fraction]):
         g = tuple(grid)
-        return cls(g, tuple((float(value),) for _ in range(len(g) - 1)), degree_cap)
+        return cls(g, tuple((float(value),) for _ in range(len(g) - 1)))
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return max(len(c) - 1 for c in self.pieces)
-
-    def _piece_index(self, x: float) -> int:
-        i = int(np.searchsorted(self._grid_f, x, side="right")) - 1
-        return min(max(i, 0), len(self.pieces) - 1)
 
     def eval(self, x: float) -> float:
         if not (0.0 <= x <= 1.0):
             raise DomainError(f"evaluation point {x} outside [0,1]")
-        i = self._piece_index(x)
+        i = min(max(int(np.searchsorted(self._grid_f, x, side="right")) - 1, 0), len(self.pieces) - 1)
         return _horner(self.pieces[i], x - self._grid_f[i])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
@@ -99,15 +92,16 @@ class PiecewisePolynomial:
         if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
             raise DomainError("evaluation points outside [0,1]")
         idx = np.clip(np.searchsorted(self._grid_f, xs, side="right") - 1, 0, len(self.pieces) - 1)
-        out = np.zeros_like(xs)
-        for i in np.unique(idx):
-            sel = idx == i
-            s = xs[sel] - self._grid_f[i]
-            acc = np.zeros_like(s)
-            for c in reversed(self.pieces[i]):
-                acc = acc * s + c
-            out[sel] = acc
-        return out
+        s = xs - self._grid_f[idx]
+        # cols[j] holds coefficient j of every piece, 0.0 past a piece's
+        # degree; those steps keep acc at 0.0, so each value equals the
+        # scalar Horner loop bit for bit.
+        width = max(map(len, self.pieces))
+        cols = np.array([c + (0.0,) * (width - len(c)) for c in self.pieces]).T
+        acc = np.zeros_like(s)
+        for col in cols[::-1]:
+            acc = acc * s + col[idx]
+        return acc
 
     def value_at_one(self) -> float:
         ell = float(self.grid[-1] - self.grid[-2])
@@ -126,41 +120,36 @@ def _piece_integral(coeffs: Sequence[float], ell: float) -> float:
     return math.fsum(c * ell ** (j + 1) / (j + 1) for j, c in enumerate(coeffs))
 
 
-def integrate_dt(f: PiecewisePolynomial) -> PiecewisePolynomial:
-    """Antiderivative x -> integral_0^x f(t) dt, zero at x = 0.
+def _integrate(f: PiecewisePolynomial, dens: Sequence[float]) -> PiecewisePolynomial:
+    """x -> integral_0^x f(t) rho(t) dt, where rho is dens[i] on piece i.
 
-    Degree rises by one per piece; accumulation constants are chained
-    left to right so the result is continuous by construction.
+    Degree rises by one on each piece with mass; a massless piece holds
+    the running total.  Accumulation constants are chained left to right
+    so the result is continuous by construction.
     """
-    if f.degree + 1 > f.degree_cap:
-        raise ConfigError(f"integration would exceed degree cap {f.degree_cap}; raise the cap")
     pieces = []
     acc = 0.0
-    for i, coeffs in enumerate(f.pieces):
-        ell = float(f.grid[i + 1] - f.grid[i])
-        pieces.append((acc,) + tuple(c / (j + 1) for j, c in enumerate(coeffs)))
-        acc += _piece_integral(coeffs, ell)
-    return PiecewisePolynomial(f.grid, tuple(pieces), f.degree_cap)
-
-
-def integrate_dmu(f: PiecewisePolynomial, mu: Measure) -> PiecewisePolynomial:
-    """Measure antiderivative x -> integral_0^x f dmu for piecewise-constant dmu.
-
-    f must live on mu's breakpoints.  On each piece the integrand is
-    density * f, so this is integrate_dt with per-piece density weights;
-    the result is constant across zero-density pieces.
-    """
-    if f.degree + 1 > f.degree_cap:
-        raise ConfigError(f"integration would exceed degree cap {f.degree_cap}; raise the cap")
-    if f.grid != mu.breakpoints:
-        raise DomainError("integrate_dmu needs a polynomial on the measure's breakpoints")
-    pieces = []
-    acc = 0.0
-    for i, (coeffs, d) in enumerate(zip(f.pieces, mu._dens.tolist())):
+    for i, (coeffs, d) in enumerate(zip(f.pieces, dens)):
         if d == 0.0:
             pieces.append((acc,))
         else:
             ell = float(f.grid[i + 1] - f.grid[i])
             pieces.append((acc,) + tuple(d * c / (j + 1) for j, c in enumerate(coeffs)))
             acc += d * _piece_integral(coeffs, ell)
-    return PiecewisePolynomial(f.grid, tuple(pieces), f.degree_cap)
+    return PiecewisePolynomial(f.grid, tuple(pieces))
+
+
+def integrate_dt(f: PiecewisePolynomial) -> PiecewisePolynomial:
+    """Antiderivative x -> integral_0^x f(t) dt, zero at x = 0."""
+    return _integrate(f, [1.0] * len(f.pieces))
+
+
+def integrate_dmu(f: PiecewisePolynomial, mu: Measure) -> PiecewisePolynomial:
+    """Measure antiderivative x -> integral_0^x f dmu for piecewise-constant dmu.
+
+    f must live on mu's breakpoints; the result is constant across
+    zero-density pieces.
+    """
+    if f.grid != mu.breakpoints:
+        raise DomainError("integrate_dmu needs a polynomial on the measure's breakpoints")
+    return _integrate(f, mu._dens.tolist())

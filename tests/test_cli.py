@@ -88,7 +88,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "argv",
-        [["eigvals", "--boundary", "sideways"], ["eigvals", "--level", "x"], ["bogus"], []],
+        [["eigvals", "--boundary", "sideways"], ["eigvals", "--level", "x"], ["bogus"], [],
+         ["rates", "--kind", "eigenfunction", "--m", "1,2"]],
     )
     def test_rejected_command_lines_are_config_errors(self, argv, capsys):
         with pytest.raises(ConfigError):

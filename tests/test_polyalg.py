@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from kreinfeller.errors import ConfigError, DomainError
+from kreinfeller.errors import DomainError
 from kreinfeller.measures import Measure
 from kreinfeller.polyalg import PiecewisePolynomial, integrate_dmu, integrate_dt
+from kreinfeller.series import build_table
 
 from conftest import cantor, piecewise_measures
 
@@ -64,11 +65,6 @@ class TestIntegrateDt:
         assert F.eval(0.25) == pytest.approx(0.25, abs=1e-15)
         assert F.eval(0.75) == pytest.approx(0.5, abs=1e-15)
         assert F.eval(1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_degree_cap_is_enforced(self):
-        f = PiecewisePolynomial(UNIT_GRID, ((1.0, 1.0),), degree_cap=1)
-        with pytest.raises(ConfigError):
-            integrate_dt(f)
 
 
 class TestIntegrateDmu:
@@ -130,10 +126,17 @@ class TestEval:
             F.eval(1.2)
 
     def test_eval_many_matches_scalar(self):
+        # exact agreement, also for tables whose massless pieces give rows
+        # shorter than the rest (zero padding must not move a value)
         mu = cantor(HALF, 2)
-        p2 = integrate_dt(integrate_dmu(ones_on(mu), mu))
+        polys = [integrate_dt(integrate_dmu(ones_on(mu), mu))]
+        mu3 = cantor(WeightVector.of(Fraction(1, 3)), 3)
+        table = build_table(mu3, 4)
+        polys += [f for funs in (table.p_fun, table.q_fun) for f in funs[:10]]
+        assert len({len(c) for c in table.p_fun[9].pieces}) > 1
         xs = np.linspace(0, 1, 173)
-        np.testing.assert_allclose(p2.eval_many(xs), [p2.eval(x) for x in xs], atol=1e-15)
+        for f in polys:
+            assert np.array_equal(f.eval_many(xs), [f.eval(x) for x in xs])
 
 
 class TestInvariants:
@@ -164,7 +167,7 @@ class TestInvariants:
         # iterated integrals obey p_{2n+1} <= q2^n/n!, p_{2n} <= p2^n/n!,
         # q_{2n+1} <= p2^n/n!, q_{2n} <= q2^n/n! pointwise
         mu = cantor(weights, 3)
-        one = PiecewisePolynomial.constant(1.0, mu.breakpoints, degree_cap=40)
+        one = PiecewisePolynomial.constant(1.0, mu.breakpoints)
         p = [one]
         q = [one]
         for n in range(1, 16):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from conftest import STANDARD_WEIGHTS, piecewise_measures, weight_vectors
 from kreinfeller.errors import BracketError, ConfigError, DomainError, PrecisionError
 from kreinfeller.measures import CantorLevel, Measure, WeightVector, cantor_approximant
+from kreinfeller.propagation import boundary_values
 from kreinfeller.series import build_table, null_sum_plain, null_sum_weighted
 from kreinfeller.spectrum import (
     CSV_HEADER,
@@ -120,6 +121,25 @@ class TestMeasureOnlySolve:
             assert find_eigenvalues(build_table(mu, 3), boundary, 5) == find_eigenvalues(
                 mu, boundary, 5
             )
+
+
+class TestCertifiedBrackets:
+    @pytest.mark.parametrize("level", range(6))
+    def test_bracket_ends_carry_a_certified_sign_change(self, level):
+        """Each end's boundary value exceeds its own err_est and the two signs
+        differ.  This certifies relative to err_est, the propagation's rounding
+        estimate, which is not yet a proven bound (ROADMAP.md, direction 3)."""
+        for w in STANDARD_WEIGHTS:
+            mu = cantor_approximant(CantorLevel(w, level))
+            for boundary, count in (("neumann", 9), ("dirichlet", 8)):
+                roots = [r for r in find_eigenvalues(mu, boundary, count) if r.index > 0]
+                assert len(roots) == 8
+                for r in roots:
+                    ends = [boundary_values(mu, z) for z in (r.bracket_lo, r.bracket_hi)]
+                    lo, hi = (e.sp if boundary == "neumann" else e.sq for e in ends)
+                    assert lo * hi < 0.0, (str(w), level, boundary, r.index)
+                    for e, v in zip(ends, (lo, hi)):
+                        assert abs(v) > e.err_est, (str(w), level, boundary, r.index)
 
 
 class TestSeriesCrossChecks:
