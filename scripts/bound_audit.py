@@ -16,29 +16,38 @@ import csv
 import sys
 from fractions import Fraction
 
+from kreinfeller.cli import parse_levels, parse_weight
 from kreinfeller.convergence import bound_audit
+from kreinfeller.errors import ConfigError
 from kreinfeller.measures import WeightVector
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--w", action="append", default=None, metavar="W",
+    ap.add_argument("--w", action="append", type=parse_weight, default=None, metavar="W",
                     help="first branch weight; repeatable (default: 0.5, 1/3, 0.25)")
-    ap.add_argument("--levels", default="1:6", help="inclusive level range a:b (default 1:6)")
+    ap.add_argument("--levels", type=parse_levels, default="1:6",
+                    help="inclusive level range a:b or comma list (default 1:6)")
     ap.add_argument("--order", type=int, default=12, help="coefficient table order (default 12)")
     ap.add_argument("--out", default=None, help="write all rows for the last weight pair as CSV")
-    args = ap.parse_args(argv)
+    # a rejected value exits 2 with one line on stderr, as the CLI does
+    try:
+        return run(ap.parse_args(argv))
+    except ConfigError as exc:
+        ap.exit(2, f"{ap.prog}: error: {exc}\n")
 
-    lo, hi = (int(p) for p in args.levels.split(":", 1))
-    levels = tuple(range(lo, hi + 1))
-    weights = [Fraction(t) for t in (args.w or ["0.5", "1/3", "0.25"])]
+
+def run(args) -> int:
+    """Run the audit for parsed command-line arguments."""
+    levels = args.levels
+    weights = args.w or [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
 
     report = None
     for first in weights:
         w = WeightVector.of(first)
         report = bound_audit(w, levels, coeff_order=args.order, raise_on_violation=False)
         bad = report.violations()
-        print(f"\nweights ({w.w1}, {w.w2}), levels {lo}..{hi}: "
+        print(f"\nweights ({w.w1}, {w.w2}), levels {','.join(map(str, levels))}: "
               f"{len(report.rows)} bound instances, {len(bad)} violations")
         for name, row in sorted(report.worst_slack_per_bound().items()):
             print(f"  {name:28s} tightest margin {row.slack:12.5e}  [{row.instance}]")

@@ -16,22 +16,31 @@ import argparse
 import sys
 from fractions import Fraction
 
+from kreinfeller.cli import parse_levels, parse_weight
+from kreinfeller.errors import ConfigError
 from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
 from kreinfeller.spectrum import fem_oracle, find_eigenvalues
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--w", action="append", default=None, metavar="W",
+    ap.add_argument("--w", action="append", type=parse_weight, default=None, metavar="W",
                     help="first branch weight; repeatable (default: 0.5, 1/3, 0.25)")
-    ap.add_argument("--levels", default="1:4", help="inclusive level range a:b (default 1:4)")
+    ap.add_argument("--levels", type=parse_levels, default="1:4",
+                    help="inclusive level range a:b or comma list (default 1:4)")
     ap.add_argument("--m-max", type=int, default=6, help="largest eigenvalue index (default 6)")
     ap.add_argument("--mesh-powers", default="4,5,6",
                     help="comma list k for meshes h=3^-k (default 4,5,6)")
-    args = ap.parse_args(argv)
+    # a rejected value exits 2 with one line on stderr, as the CLI does
+    try:
+        return run(ap.parse_args(argv))
+    except ConfigError as exc:
+        ap.exit(2, f"{ap.prog}: error: {exc}\n")
 
-    lo, hi = (int(p) for p in args.levels.split(":", 1))
-    weights = [Fraction(t) for t in (args.w or ["0.5", "1/3", "0.25"])]
+
+def run(args) -> int:
+    """Run the comparison for parsed command-line arguments."""
+    weights = args.w or [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
     mesh_powers = [int(p) for p in args.mesh_powers.split(",")]
 
     header = "  ".join(f"h=3^-{k}" for k in mesh_powers)
@@ -39,7 +48,7 @@ def main(argv=None) -> int:
         w = WeightVector.of(first)
         print(f"\nweights ({w.w1}, {w.w2})   worst relative gap over m<={args.m_max}")
         print(f"  level  boundary   {header}")
-        for level in range(lo, hi + 1):
+        for level in args.levels:
             mu = cantor_approximant(CantorLevel(w, level))
             for boundary in ("neumann", "dirichlet"):
                 count = args.m_max + 1 if boundary == "neumann" else args.m_max

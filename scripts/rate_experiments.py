@@ -21,10 +21,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from kreinfeller.cli import parse_levels, parse_weight
 from kreinfeller.convergence import (
     eigenfunction_rate_experiment,
     eigenvalue_rate_experiment,
 )
+from kreinfeller.errors import ConfigError
 from kreinfeller.measures import WeightVector
 
 SETTLED_DELTA = 0.05
@@ -40,11 +42,6 @@ def describe_fit(slope, delta) -> str:
     return f"{slope:+.4f}  delta {delta:+.4f}{mark}"
 
 
-def parse_levels(text: str) -> tuple[int, ...]:
-    lo, hi = (int(part) for part in text.split(":", 1))
-    return tuple(range(lo, hi + 1))
-
-
 def write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\r\n").writerows(rows)
@@ -53,15 +50,23 @@ def write_csv(path: Path, rows) -> None:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--w", action="append", default=None, metavar="W",
+    ap.add_argument("--w", action="append", type=parse_weight, default=None, metavar="W",
                     help="first branch weight; repeatable (default: 0.5 and 1/3)")
-    ap.add_argument("--levels", default="5:9", help="inclusive level range a:b (default 5:9)")
+    ap.add_argument("--levels", type=parse_levels, default="5:9",
+                    help="inclusive level range a:b or comma list (default 5:9)")
     ap.add_argument("--m-max", type=int, default=3, help="largest eigenvalue index tracked (default 3)")
     ap.add_argument("--out-dir", default=None, help="directory for CSV reports (default: print only)")
-    args = ap.parse_args(argv)
+    # a rejected value exits 2 with one line on stderr, as the CLI does
+    try:
+        return run(ap.parse_args(argv))
+    except ConfigError as exc:
+        ap.exit(2, f"{ap.prog}: error: {exc}\n")
 
-    weights = [Fraction(t) for t in (args.w or ["0.5", "1/3"])]
-    levels = parse_levels(args.levels)
+
+def run(args) -> int:
+    """Run the experiments for parsed command-line arguments."""
+    weights = args.w or [Fraction(1, 2), Fraction(1, 3)]
+    levels = args.levels
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -69,7 +74,7 @@ def main(argv=None) -> int:
     for first in weights:
         w = WeightVector.of(first)
         envelope = math.log(float(w.w2))
-        print(f"\nweights ({w.w1}, {w.w2}), levels {levels[0]}..{levels[-1]}, "
+        print(f"\nweights ({w.w1}, {w.w2}), levels {','.join(map(str, levels))}, "
               f"envelope slope log(w2) = {envelope:+.4f}")
         for boundary in ("neumann", "dirichlet"):
             ev = eigenvalue_rate_experiment(w, levels, boundary, args.m_max)

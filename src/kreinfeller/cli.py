@@ -66,7 +66,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_weight(text: str) -> Fraction:
+def parse_weight(text: str) -> Fraction:
     """First branch weight as an exact rational.
 
     Accepts decimal strings ("0.5", "0.3333") and ratios ("1/3").
@@ -82,16 +82,17 @@ def _parse_weight(text: str) -> Fraction:
     return w
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
-    """Level list: 'a:b' (inclusive range) or comma-separated integers."""
+def parse_levels(text: str) -> tuple[int, ...]:
+    """Level list: 'a:b' (inclusive range) or comma-separated nonnegative integers."""
     try:
         if ":" in text:
-            lo_s, hi_s = text.split(":", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError(f"range {lo}:{hi} is empty")
-            return tuple(range(lo, hi + 1))
-        return tuple(int(part) for part in text.split(","))
+            lo, hi = (int(part) for part in text.split(":", 1))
+            levels = tuple(range(lo, hi + 1))
+        else:
+            levels = tuple(int(part) for part in text.split(","))
+        if not levels or min(levels) < 0:
+            raise ValueError("need one or more levels, all nonnegative")
+        return levels
     except ValueError as exc:
         raise ConfigError(f"cannot parse levels {text!r}: {exc}") from None
 
@@ -171,6 +172,8 @@ class RunConfig:
         for m in (self.m_index, *self.m_list):
             if m < 0:
                 raise ConfigError(f"m must be nonnegative, got {m}")
+        if len(set(self.m_list)) < len(self.m_list):
+            raise ConfigError(f"m list repeats an index: {','.join(map(str, self.m_list))}")
         if self.order is not None and self.order < 2:
             raise ConfigError(f"order must be >= 2 (or omitted for automatic), got {self.order}")
         if self.z_max <= 0:
@@ -209,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--w",
             dest="weight",
-            type=_parse_weight,
+            type=parse_weight,
             default="0.5",
             metavar="W",
             help="first branch weight, decimal or fraction (default 0.5); the second is 1-W",
@@ -217,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if levels:
             p.add_argument(
                 "--levels",
-                type=_parse_levels,
+                type=parse_levels,
                 default="1:3",
                 metavar="A:B",
                 help="refinement levels, inclusive range a:b or comma list (default 1:3)",

@@ -78,9 +78,9 @@ class Measure:
     breakpoints: 0 = t_0 < t_1 < ... < t_K = 1, exact rationals.
     densities:   d_1 ... d_K >= 0, one per interval, exact rationals.
 
-    Instances are immutable; float views of the grid, densities and CDF,
-    and the piece table of (h, d, sqrt(d)) floats that the propagation
-    sweep reads, are cached at construction for fast evaluation.
+    Instances are immutable; float views of the grid, densities, piece
+    lengths and CDF, and the (h, d, sqrt(d)) piece table that the
+    propagation sweep reads, are cached at construction.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -88,6 +88,8 @@ class Measure:
     # cached float views, excluded from equality/repr
     _bp: np.ndarray = field(compare=False, repr=False, default=None)
     _dens: np.ndarray = field(compare=False, repr=False, default=None)
+    # float(bp[i+1] - bp[i]), not _piece_table's h = np.diff(_bp): the two differ in the last bit
+    _lengths: tuple[float, ...] = field(compare=False, repr=False, default=None)
     _cdf_at_bp: tuple[Fraction, ...] = field(compare=False, repr=False, default=None)
     _cdf_float: np.ndarray = field(compare=False, repr=False, default=None)
     _piece_table: tuple = field(compare=False, repr=False, default=None)
@@ -98,17 +100,19 @@ class Measure:
             raise DomainError("need K+1 breakpoints for K densities, K >= 1")
         if bp[0] != 0 or bp[-1] != 1:
             raise DomainError("measure must live on [0,1]: breakpoints must start at 0, end at 1")
-        if any(bp[i] >= bp[i + 1] for i in range(len(bp) - 1)):
+        lengths = [bp[i + 1] - bp[i] for i in range(len(dens))]
+        if any(ell <= 0 for ell in lengths):
             raise DomainError("breakpoints must be strictly increasing")
         if any(d < 0 for d in dens):
             raise DomainError("densities must be nonnegative")
         cum = [Fraction(0)]
-        for i, d in enumerate(dens):
-            cum.append(cum[-1] + d * (bp[i + 1] - bp[i]))
+        for d, ell in zip(dens, lengths):
+            cum.append(cum[-1] + d * ell)
         if abs(float(cum[-1]) - 1.0) > MASS_TOL:
             raise DomainError(f"total mass {float(cum[-1])} differs from 1 beyond {MASS_TOL}")
         object.__setattr__(self, "_bp", np.array([float(t) for t in bp]))
         object.__setattr__(self, "_dens", np.array([float(d) for d in dens]))
+        object.__setattr__(self, "_lengths", tuple(map(float, lengths)))
         object.__setattr__(self, "_cdf_at_bp", tuple(cum))
         object.__setattr__(self, "_cdf_float", np.array([float(c) for c in cum]))
         pieces = zip(np.diff(self._bp).tolist(), self._dens.tolist())

@@ -1,12 +1,12 @@
 """Piecewise-polynomial arithmetic for the iterated-integral recursions.
 
-Polynomials live on a Measure's own rational breakpoints (integrate_dmu
-checks this; integrate_dt keeps the grid it is given) and store
-per-piece coefficient vectors in the local variable s = x - t_{i-1}.
-The local representation keeps short deep-level pieces well conditioned.
-Coefficients are plain floats; every coefficient produced by the
-recursions here is nonnegative, so the integral operators below involve
-no cancellation and rounding stays at the ulp level.
+A polynomial holds the Measure it lives on and per-piece coefficient
+vectors in the local variable s = x - t_{i-1}, which keeps short
+deep-level pieces well conditioned.  Breakpoint, piece-length and density
+floats are the measure's own (_bp, _lengths, _dens).  Coefficients are
+plain floats; every coefficient produced by the recursions here is
+nonnegative, so the integral operators below involve no cancellation and
+rounding stays at the ulp level.
 
 The two operators of interest map f to x -> integral_0^x f dt and
 x -> integral_0^x f dmu; alternating them builds the coefficient
@@ -21,8 +21,7 @@ every value bit-identical to a per-piece Horner loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,24 +34,19 @@ CONTINUITY_RTOL = 1e-13
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
-    """Continuous piecewise polynomial on a rational grid over [0,1].
+    """Continuous piecewise polynomial on the pieces of a measure.
 
     pieces[i] holds ascending coefficients (c0, c1, ...) of the local
-    polynomial sum_j c_j * (x - grid[i])**j valid on [grid[i], grid[i+1]].
+    polynomial sum_j c_j * (x - t_i)**j valid on [t_i, t_{i+1}], where the
+    t_i are the measure's breakpoints.
     """
 
-    grid: tuple[Fraction, ...]
+    measure: Measure
     pieces: tuple[tuple[float, ...], ...]
-    _grid_f: np.ndarray = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        if len(self.grid) < 2 or len(self.pieces) != len(self.grid) - 1:
-            raise DomainError("piece count must equal grid interval count")
-        if self.grid[0] != 0 or self.grid[-1] != 1:
-            raise DomainError("grid must span [0,1]")
-        if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
-            raise DomainError("grid must be strictly increasing")
-        object.__setattr__(self, "_grid_f", np.array([float(t) for t in self.grid]))
+        if len(self.pieces) != self.measure.piece_count:
+            raise DomainError("piece count must equal the measure's piece count")
 
     def continuity_defect(self) -> float:
         """Largest relative jump across interior breakpoints.
@@ -62,8 +56,7 @@ class PiecewisePolynomial:
         raw inputs such as densities may be genuinely discontinuous.
         """
         worst = 0.0
-        for i in range(len(self.pieces) - 1):
-            ell = float(self.grid[i + 1] - self.grid[i])
+        for i, ell in enumerate(self.measure._lengths[:-1]):
             left = _horner(self.pieces[i], ell)
             right = self.pieces[i + 1][0] if self.pieces[i + 1] else 0.0
             worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
@@ -75,24 +68,25 @@ class PiecewisePolynomial:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, grid: Sequence[Fraction]):
-        g = tuple(grid)
-        return cls(g, tuple((float(value),) for _ in range(len(g) - 1)))
+    def constant(cls, value: float, measure: Measure):
+        return cls(measure, ((float(value),),) * measure.piece_count)
 
     # -- queries ----------------------------------------------------------
 
     def eval(self, x: float) -> float:
         if not (0.0 <= x <= 1.0):
             raise DomainError(f"evaluation point {x} outside [0,1]")
-        i = min(max(int(np.searchsorted(self._grid_f, x, side="right")) - 1, 0), len(self.pieces) - 1)
-        return _horner(self.pieces[i], x - self._grid_f[i])
+        bp = self.measure._bp
+        i = min(max(int(np.searchsorted(bp, x, side="right")) - 1, 0), len(self.pieces) - 1)
+        return _horner(self.pieces[i], x - bp[i])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
             raise DomainError("evaluation points outside [0,1]")
-        idx = np.clip(np.searchsorted(self._grid_f, xs, side="right") - 1, 0, len(self.pieces) - 1)
-        s = xs - self._grid_f[idx]
+        bp = self.measure._bp
+        idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.pieces) - 1)
+        s = xs - bp[idx]
         # cols[j] holds coefficient j of every piece, 0.0 past a piece's
         # degree; those steps keep acc at 0.0, so each value equals the
         # scalar Horner loop bit for bit.
@@ -104,8 +98,7 @@ class PiecewisePolynomial:
         return acc
 
     def value_at_one(self) -> float:
-        ell = float(self.grid[-1] - self.grid[-2])
-        return _horner(self.pieces[-1], ell)
+        return _horner(self.pieces[-1], self.measure._lengths[-1])
 
 
 def _horner(coeffs: Sequence[float], s: float) -> float:
@@ -129,14 +122,13 @@ def _integrate(f: PiecewisePolynomial, dens: Sequence[float]) -> PiecewisePolyno
     """
     pieces = []
     acc = 0.0
-    for i, (coeffs, d) in enumerate(zip(f.pieces, dens)):
+    for coeffs, d, ell in zip(f.pieces, dens, f.measure._lengths):
         if d == 0.0:
             pieces.append((acc,))
         else:
-            ell = float(f.grid[i + 1] - f.grid[i])
             pieces.append((acc,) + tuple(d * c / (j + 1) for j, c in enumerate(coeffs)))
             acc += d * _piece_integral(coeffs, ell)
-    return PiecewisePolynomial(f.grid, tuple(pieces))
+    return PiecewisePolynomial(f.measure, tuple(pieces))
 
 
 def integrate_dt(f: PiecewisePolynomial) -> PiecewisePolynomial:
@@ -147,9 +139,8 @@ def integrate_dt(f: PiecewisePolynomial) -> PiecewisePolynomial:
 def integrate_dmu(f: PiecewisePolynomial, mu: Measure) -> PiecewisePolynomial:
     """Measure antiderivative x -> integral_0^x f dmu for piecewise-constant dmu.
 
-    f must live on mu's breakpoints; the result is constant across
-    zero-density pieces.
+    f must live on mu; the result is constant across zero-density pieces.
     """
-    if f.grid != mu.breakpoints:
-        raise DomainError("integrate_dmu needs a polynomial on the measure's breakpoints")
+    if f.measure != mu:
+        raise DomainError("integrate_dmu needs a polynomial on the measure it integrates against")
     return _integrate(f, mu._dens.tolist())

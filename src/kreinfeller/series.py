@@ -78,7 +78,7 @@ def build_table(mu: Measure, order: int) -> TrigTable:
     """Build coefficient tables up to index 2*order + 1."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    one = PiecewisePolynomial.constant(1.0, mu.breakpoints)
+    one = PiecewisePolynomial.constant(1.0, mu)
     p = [one]
     q = [one]
     for n in range(1, 2 * order + 2):

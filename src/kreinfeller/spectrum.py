@@ -145,13 +145,12 @@ def _q2_at_one(mu: Measure) -> float:
     The exact rational sum differs from the table's value in the last bits, which
     moves the scan grid and with it the last digits of some roots.
     """
-    bp, dens = mu.breakpoints, mu.densities
+    lengths, dens = mu._lengths, mu._dens.tolist()
     q1 = acc2 = 0.0
-    for i in range(len(dens) - 1):
-        ell = float(bp[i + 1] - bp[i])
-        acc2 += float(dens[i]) * math.fsum([q1 * ell, ell**2 / 2])
+    for ell, d in zip(lengths[:-1], dens):
+        acc2 += d * math.fsum([q1 * ell, ell**2 / 2])
         q1 += ell
-    ell, d = float(bp[-1] - bp[-2]), float(dens[-1])
+    ell, d = lengths[-1], dens[-1]
     return ((d / 2) * ell + d * q1) * ell + acc2
 
 
@@ -434,11 +433,11 @@ def fem_oracle(
     n = int(round(1.0 / mesh_size))
     if n < 2 or abs(n * mesh_size - 1.0) > 1e-9:
         raise ConfigError(f"mesh_size {mesh_size!r} does not tile [0,1] evenly")
-    for b in mu.breakpoints:
-        node = float(b) * n
+    for b in mu._bp.tolist():
+        node = b * n
         if abs(node - round(node)) > 1e-9:
             raise ConfigError(
-                f"breakpoint {float(b):.6g} is not a mesh node at mesh_size={mesh_size!r}; "
+                f"breakpoint {b:.6g} is not a mesh node at mesh_size={mesh_size!r}; "
                 "align the mesh with the measure's pieces"
             )
 

@@ -12,8 +12,8 @@ import pytest
 
 from kreinfeller.cli import (
     RunConfig,
-    _parse_levels,
-    _parse_weight,
+    parse_levels,
+    parse_weight,
     _pin_threads,
     config_from_argv,
     main,
@@ -37,26 +37,26 @@ def parse_csv_bytes(payload: bytes):
 
 class TestConfigParsing:
     def test_weight_decimal_is_exact(self):
-        assert _parse_weight("0.3333") == Fraction(3333, 10000)
+        assert parse_weight("0.3333") == Fraction(3333, 10000)
 
     def test_weight_fraction(self):
-        assert _parse_weight("1/3") == Fraction(1, 3)
+        assert parse_weight("1/3") == Fraction(1, 3)
 
     @pytest.mark.parametrize("bad", ["0", "1", "-0.2", "5/3", "abc"])
     def test_weight_rejects(self, bad):
         with pytest.raises(ConfigError):
-            _parse_weight(bad)
+            parse_weight(bad)
 
     def test_levels_range_inclusive(self):
-        assert _parse_levels("1:4") == (1, 2, 3, 4)
+        assert parse_levels("1:4") == (1, 2, 3, 4)
 
     def test_levels_comma_list(self):
-        assert _parse_levels("2,4,6") == (2, 4, 6)
+        assert parse_levels("2,4,6") == (2, 4, 6)
 
     @pytest.mark.parametrize("bad", ["3:1", "a:b", "1;2"])
     def test_levels_rejects(self, bad):
         with pytest.raises(ConfigError):
-            _parse_levels(bad)
+            parse_levels(bad)
 
     def test_defaults(self):
         cfg = config_from_argv(["eigvals"])
@@ -89,7 +89,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "argv",
         [["eigvals", "--boundary", "sideways"], ["eigvals", "--level", "x"], ["bogus"], [],
-         ["rates", "--kind", "eigenfunction", "--m", "1,2"]],
+         ["rates", "--kind", "eigenfunction", "--m", "1,2"], ["eigfun", "--m", "2,2"]],
     )
     def test_rejected_command_lines_are_config_errors(self, argv, capsys):
         with pytest.raises(ConfigError):

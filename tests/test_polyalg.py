@@ -11,25 +11,25 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kreinfeller.errors import DomainError
-from kreinfeller.measures import Measure
+from kreinfeller.measures import Measure, WeightVector
 from kreinfeller.polyalg import PiecewisePolynomial, integrate_dmu, integrate_dt
 from kreinfeller.series import build_table
 
-from conftest import cantor, piecewise_measures
-
-from kreinfeller.measures import WeightVector
+from conftest import STANDARD_WEIGHTS, cantor, piecewise_measures
 
 HALF = WeightVector.of(Fraction(1, 2))
-UNIT_GRID = (Fraction(0), Fraction(1))
+LEBESGUE = Measure.lebesgue()
+# Lebesgue measure split at 1/2
+HALVES = Measure.from_pieces((0, Fraction(1, 2), 1), (1, 1))
 
 
 def leb_identity():
-    # f(x) = x on the trivial grid
-    return PiecewisePolynomial(UNIT_GRID, ((0.0, 1.0),))
+    # f(x) = x on Lebesgue measure's single piece
+    return PiecewisePolynomial(LEBESGUE, ((0.0, 1.0),))
 
 
 def ones_on(mu):
-    return PiecewisePolynomial.constant(1.0, mu.breakpoints)
+    return PiecewisePolynomial.constant(1.0, mu)
 
 
 def identity_on(mu):
@@ -39,14 +39,14 @@ def identity_on(mu):
 def global_poly_on(coeffs, mu):
     """sum_j coeffs[j] x^j re-expanded about each of mu's breakpoints."""
     P = np.polynomial.Polynomial(coeffs)
-    return PiecewisePolynomial(mu.breakpoints, tuple(
-        tuple(P(np.polynomial.Polynomial([float(t), 1.0])).coef.tolist())
-        for t in mu.breakpoints[:-1]))
+    return PiecewisePolynomial(mu, tuple(
+        tuple(P(np.polynomial.Polynomial([t, 1.0])).coef.tolist())
+        for t in mu._bp[:-1].tolist()))
 
 
 class TestIntegrateDt:
     def test_constant_gives_identity(self):
-        f = PiecewisePolynomial.constant(1.0, UNIT_GRID)
+        f = PiecewisePolynomial.constant(1.0, LEBESGUE)
         F = integrate_dt(f)
         assert F.eval(0.0) == 0.0
         assert F.eval(0.7) == pytest.approx(0.7, abs=1e-15)
@@ -59,8 +59,7 @@ class TestIntegrateDt:
 
     def test_step_function_hand_integral(self):
         # {1 on [0,1/2], 0 on (1/2,1]} integrates to {x, then constant 1/2}
-        grid = (Fraction(0), Fraction(1, 2), Fraction(1))
-        f = PiecewisePolynomial(grid, ((1.0,), (0.0,)))
+        f = PiecewisePolynomial(HALVES, ((1.0,), (0.0,)))
         F = integrate_dt(f)
         assert F.eval(0.25) == pytest.approx(0.25, abs=1e-15)
         assert F.eval(0.75) == pytest.approx(0.5, abs=1e-15)
@@ -69,7 +68,7 @@ class TestIntegrateDt:
 
 class TestIntegrateDmu:
     def test_constant_against_lebesgue_is_identity(self, lebesgue):
-        G = integrate_dmu(PiecewisePolynomial.constant(1.0, UNIT_GRID), lebesgue)
+        G = integrate_dmu(PiecewisePolynomial.constant(1.0, lebesgue), lebesgue)
         assert G.eval(0.6) == pytest.approx(0.6, abs=1e-15)
 
     def test_constant_against_cantor_level1_is_cdf(self):
@@ -95,7 +94,7 @@ class TestIntegrateDmu:
 
     def test_requires_the_measures_breakpoints(self):
         with pytest.raises(DomainError):
-            integrate_dmu(PiecewisePolynomial.constant(1.0, UNIT_GRID), cantor(HALF, 1))
+            integrate_dmu(PiecewisePolynomial.constant(1.0, LEBESGUE), cantor(HALF, 1))
 
 
 class TestEval:
@@ -154,7 +153,7 @@ class TestInvariants:
     def test_linearity_of_both_operators(self, mu, a, b):
         f = global_poly_on((0.5, 1.0, -0.25), mu)
         g = global_poly_on((1.0, -2.0, 0.0, 3.0), mu)
-        comb = PiecewisePolynomial(mu.breakpoints, tuple(
+        comb = PiecewisePolynomial(mu, tuple(
             tuple(a * cf + b * cg for cf, cg in zip_longest(pf, pg, fillvalue=0.0))
             for pf, pg in zip(f.pieces, g.pieces)))
         xs = np.linspace(0, 1, 41)
@@ -167,7 +166,7 @@ class TestInvariants:
         # iterated integrals obey p_{2n+1} <= q2^n/n!, p_{2n} <= p2^n/n!,
         # q_{2n+1} <= p2^n/n!, q_{2n} <= q2^n/n! pointwise
         mu = cantor(weights, 3)
-        one = PiecewisePolynomial.constant(1.0, mu.breakpoints)
+        one = PiecewisePolynomial.constant(1.0, mu)
         p = [one]
         q = [one]
         for n in range(1, 16):
@@ -201,9 +200,33 @@ class TestInvariants:
 
 class TestRefinement:
     def test_continuity_defect_reported(self):
-        grid = (Fraction(0), Fraction(1, 2), Fraction(1))
-        jump = PiecewisePolynomial(grid, ((1.0,), (2.0,)))
+        jump = PiecewisePolynomial(HALVES, ((1.0,), (2.0,)))
         assert not jump.is_continuous()
         assert jump.continuity_defect() == pytest.approx(0.5)
         # integral outputs are continuous regardless of the input's jumps
         assert integrate_dt(jump).is_continuous()
+
+
+class TestMeasureGrid:
+    def test_piece_count_must_match_the_measure(self):
+        with pytest.raises(DomainError):
+            PiecewisePolynomial(HALVES, ((1.0,),))
+        with pytest.raises(DomainError):
+            PiecewisePolynomial(LEBESGUE, ((1.0,), (2.0,)))
+
+    def test_polynomials_hold_their_measure(self):
+        mu = cantor(HALF, 2)
+        assert integrate_dt(integrate_dmu(ones_on(mu), mu)).measure is mu
+
+    @pytest.mark.parametrize("w", STANDARD_WEIGHTS, ids=str)
+    def test_lengths_are_floats_of_exact_lengths_cantor(self, w):
+        for level in (0, 3, 6):
+            mu = cantor(w, level)
+            bp = mu.breakpoints
+            assert mu._lengths == tuple(float(bp[i + 1] - bp[i]) for i in range(mu.piece_count))
+
+    @given(mu=piecewise_measures())
+    @settings(max_examples=25, deadline=None)
+    def test_lengths_are_floats_of_exact_lengths(self, mu):
+        bp = mu.breakpoints
+        assert mu._lengths == tuple(float(bp[i + 1] - bp[i]) for i in range(mu.piece_count))
