@@ -12,11 +12,10 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 from fractions import Fraction
 
-from kreinfeller.cli import parse_levels, parse_weight
+from kreinfeller.cli import parse_levels, parse_weight, write_report_csv
 from kreinfeller.convergence import bound_audit
 from kreinfeller.errors import ConfigError
 from kreinfeller.measures import WeightVector
@@ -56,8 +55,7 @@ def run(args) -> int:
                   f"measured {row.measured:.6e} > limit {row.limit:.6e}")
 
     if args.out and report is not None:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\r\n").writerows(report.csv_rows())
+        write_report_csv(report, args.out)
         print(f"\nwrote {args.out}")
     return 0
 

@@ -29,7 +29,7 @@ def main(argv=None) -> int:
     ap.add_argument("--levels", type=parse_levels, default="1:4",
                     help="inclusive level range a:b or comma list (default 1:4)")
     ap.add_argument("--m-max", type=int, default=6, help="largest eigenvalue index (default 6)")
-    ap.add_argument("--mesh-powers", default="4,5,6",
+    ap.add_argument("--mesh-powers", type=parse_levels, default="4,5,6",
                     help="comma list k for meshes h=3^-k (default 4,5,6)")
     # a rejected value exits 2 with one line on stderr, as the CLI does
     try:
@@ -41,9 +41,7 @@ def main(argv=None) -> int:
 def run(args) -> int:
     """Run the comparison for parsed command-line arguments."""
     weights = args.w or [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
-    mesh_powers = [int(p) for p in args.mesh_powers.split(",")]
-
-    header = "  ".join(f"h=3^-{k}" for k in mesh_powers)
+    header = "  ".join(f"h=3^-{k}" for k in args.mesh_powers)
     for first in weights:
         w = WeightVector.of(first)
         print(f"\nweights ({w.w1}, {w.w2})   worst relative gap over m<={args.m_max}")
@@ -55,7 +53,7 @@ def run(args) -> int:
                 records = find_eigenvalues(mu, boundary, count)
                 start = 1 if boundary == "neumann" else 0
                 cells = []
-                for k in mesh_powers:
+                for k in args.mesh_powers:
                     if k < level:
                         cells.append("   (mesh too coarse)")
                         continue

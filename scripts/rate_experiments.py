@@ -15,13 +15,12 @@ Usage:
 """
 
 import argparse
-import csv
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from kreinfeller.cli import parse_levels, parse_weight
+from kreinfeller.cli import parse_levels, parse_weight, write_report_csv
 from kreinfeller.convergence import (
     eigenfunction_rate_experiment,
     eigenvalue_rate_experiment,
@@ -40,12 +39,6 @@ def describe_fit(slope, delta) -> str:
         return f"{slope:+.4f}  delta    n/a"
     mark = "  unsettled" if abs(delta) > SETTLED_DELTA else ""
     return f"{slope:+.4f}  delta {delta:+.4f}{mark}"
-
-
-def write_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\r\n").writerows(rows)
-    print(f"  wrote {path}")
 
 
 def main(argv=None) -> int:
@@ -86,9 +79,12 @@ def run(args) -> int:
             shown = describe_fit(ef.fitted_rate, ef.fit_drop_deepest_delta)
             print(f"  eigenfunction {boundary:8s} m=1: fitted slope {shown}  status={ef.status}")
             if out_dir:
-                tag = f"w{float(w.w1):.4g}_{boundary}"
-                write_csv(out_dir / f"eigenvalue_rates_{tag}.csv", ev.csv_rows())
-                write_csv(out_dir / f"eigenfunction_rates_{tag}.csv", ef.csv_rows())
+                # the exact weight names the file, so 1/3 and 0.3333 never collide
+                tag = f"w{w.w1.numerator}_{w.w1.denominator}_{boundary}"
+                for kind, report in (("eigenvalue", ev), ("eigenfunction", ef)):
+                    path = out_dir / f"{kind}_rates_{tag}.csv"
+                    write_report_csv(report, str(path))
+                    print(f"  wrote {path}")
 
     print("\nnote: measured slopes are steeper than the envelope; the proven "
           "bound c*w2^n holds but is not tight. A moment expansion of one "

@@ -9,6 +9,10 @@ Six subcommands cover the toolkit's surface:
     audit           proven-bound audit report
     oracle-compare  spectral solver vs. finite-element oracle, side by side
 
+This module is the package's only writer of CSV and JSON.  Every
+subcommand's handler, and ``write_report_csv`` for the scripts, lays out
+its rows and documents here; the computing modules return plain data.
+
 Design constraints honored here:
 
 * Deterministic output: identical configuration -> byte-identical file.
@@ -34,7 +38,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import (
@@ -52,6 +56,7 @@ RATE_KINDS = ("eigenvalue", "eigenfunction")
 TOL_MIN = 1e-14
 TOL_MAX = 1e-4
 DEFAULT_LEVEL_CAP = 10
+DEFAULT_ORDER = 12
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -105,10 +110,10 @@ def _parse_m_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse m {text!r}: {exc}") from None
 
 
-def _parse_order(text: str) -> int | None:
-    """Coefficient table order: an integer, or 'auto' for None."""
+def _parse_order(text: str) -> int:
+    """Coefficient table order: an integer, or 'auto' for the default."""
     if text == "auto":
-        return None
+        return DEFAULT_ORDER
     try:
         return int(text)
     except ValueError:
@@ -129,7 +134,7 @@ class RunConfig:
     m_list: tuple[int, ...] = ()  # eigfun indices; empty means (m_index,)
     normalized: bool = False
     tol: float = 1e-12
-    order: int | None = None  # None means automatic
+    order: int = DEFAULT_ORDER
     z_max: float = 12.0
     z_points: int = 601
     x_points: int = 16
@@ -174,8 +179,8 @@ class RunConfig:
                 raise ConfigError(f"m must be nonnegative, got {m}")
         if len(set(self.m_list)) < len(self.m_list):
             raise ConfigError(f"m list repeats an index: {','.join(map(str, self.m_list))}")
-        if self.order is not None and self.order < 2:
-            raise ConfigError(f"order must be >= 2 (or omitted for automatic), got {self.order}")
+        if self.order < 2:
+            raise ConfigError(f"order must be >= 2, got {self.order}")
         if self.z_max <= 0:
             raise ConfigError(f"z-max must be positive, got {self.z_max}")
         if self.z_points < 2:
@@ -261,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="audit proven bounds on a family of approximants")
     common(p_audit, levels=True)
-    p_audit.add_argument("--order", type=_parse_order, default="auto", help="coefficient table order, integer or 'auto' (default auto, which is 12)")
+    p_audit.add_argument("--order", type=_parse_order, default=DEFAULT_ORDER, help="coefficient table order, integer or 'auto' for the default (default %(default)s)")
 
     p_cmp = sub.add_parser("oracle-compare", help="spectral solver vs. finite-element oracle")
     common(p_cmp)
@@ -326,10 +331,14 @@ def _count_for(cfg: RunConfig, m_top: int) -> int:
     return m_top + 1 if cfg.boundary == "neumann" else m_top
 
 
+def _weights(w) -> list[str]:
+    return [str(w.w1), str(w.w2)]
+
+
 def _json_header(cfg: RunConfig, w) -> dict:
     return {
         "command": cfg.command,
-        "weights": [str(w.w1), str(w.w2)],
+        "weights": _weights(w),
         "level": cfg.level,
     }
 
@@ -411,6 +420,81 @@ def _run_sincurve(cfg: RunConfig):
     return rows, doc
 
 
+RATE_CSV_HEADER = (
+    "weights", "boundary", "m", "level_from", "level_to",
+    "lambda_from", "lambda_to", "gap", "cdf_bound_from", "fitted_rate", "status",
+)
+FUNCTION_RATE_CSV_HEADER = (
+    "weights", "boundary", "m", "level_from", "level_to", "sup_gap", "fitted_rate", "status",
+)
+AUDIT_CSV_HEADER = ("bound", "instance", "measured", "limit", "slack", "ok")
+
+
+def _fit(slope: float | None) -> str:
+    return "" if slope is None else _fmt(slope)
+
+
+def _report_rows(report) -> list[tuple[str, ...]]:
+    """CSV rows, header first, of a ``convergence`` rate or audit report."""
+    from .convergence import AuditReport, RateReport
+
+    if isinstance(report, AuditReport):
+        rows = [AUDIT_CSV_HEADER]
+        for r in report.rows:
+            ok = "1" if r.ok else "0"
+            rows.append((r.bound, r.instance, _fmt(r.measured), _fmt(r.limit), _fmt(r.slack), ok))
+        return rows
+    lead = (str(report.weights), report.boundary)
+    steps = list(enumerate(zip(report.levels, report.levels[1:])))
+    if isinstance(report, RateReport):
+        rows = [RATE_CSV_HEADER]
+        for i, m in enumerate(report.indices):
+            lams, gaps = report.lambdas[i], report.successive_gaps[i]
+            tail = (_fit(report.fitted_rate_per_m[i]), report.status_per_m[i])
+            for j, (lo, hi) in steps:
+                values = (lams[j], lams[j + 1], gaps[j], report.cdf_dist_bounds[j])
+                rows.append(lead + (str(m), str(lo), str(hi)) + tuple(map(_fmt, values)) + tail)
+        return rows
+    rows = [FUNCTION_RATE_CSV_HEADER]
+    tail = (_fit(report.fitted_rate), report.status)
+    for j, (lo, hi) in steps:
+        rows.append(lead + (str(report.index), str(lo), str(hi), _fmt(report.sup_gaps[j])) + tail)
+    return rows
+
+
+def _report_doc(report) -> dict:
+    """JSON document of a ``convergence`` report: a rate report's fields in
+    declaration order, or the audit's rows with their slack and a violation count."""
+    from .convergence import AuditReport
+
+    if isinstance(report, AuditReport):
+        return {
+            "weights": _weights(report.weights),
+            "levels": report.levels,
+            "violations": len(report.violations()),
+            "rows": [
+                {
+                    "bound": r.bound,
+                    "instance": r.instance,
+                    "measured": r.measured,
+                    "limit": r.limit,
+                    "slack": r.slack,
+                    "ok": r.ok,
+                }
+                for r in report.rows
+            ],
+        }
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+    doc["weights"] = _weights(report.weights)
+    return doc
+
+
+def write_report_csv(report, out_path: str | None) -> None:
+    """Write a rate or audit report as the CSV bytes ``rates`` and ``audit`` print,
+    atomically to ``out_path`` (stdout when None)."""
+    _emit(_csv_bytes(_report_rows(report)), out_path)
+
+
 def _run_rates(cfg: RunConfig):
     from .convergence import eigenfunction_rate_experiment, eigenvalue_rate_experiment
 
@@ -419,16 +503,15 @@ def _run_rates(cfg: RunConfig):
         report = eigenvalue_rate_experiment(w, cfg.levels, cfg.boundary, cfg.m_max, tol=cfg.tol)
     else:
         report = eigenfunction_rate_experiment(w, cfg.levels, cfg.boundary, cfg.m_index)
-    return report.csv_rows(), json.loads(report.to_json())
+    return _report_rows(report), _report_doc(report)
 
 
 def _run_audit(cfg: RunConfig):
     from .convergence import bound_audit
 
     w, _ = _measure_for(cfg, level=0)
-    order = cfg.order if cfg.order is not None else 12
-    report = bound_audit(w, cfg.levels, coeff_order=order)
-    return report.csv_rows(), json.loads(report.to_json())
+    report = bound_audit(w, cfg.levels, coeff_order=cfg.order)
+    return _report_rows(report), _report_doc(report)
 
 
 def _run_oracle_compare(cfg: RunConfig):

@@ -15,11 +15,12 @@ is a Cauchy difference between computable levels.
 ``bound_audit`` re-checks, numerically and where possible in exact rational
 arithmetic, every inequality the rest of the package relies on.  A violation
 is a bug by construction, so the audit raises on one.
+
+The reports are plain data; ``cli`` turns them into CSV and JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,38 +45,6 @@ STATUS_OK = "ok"
 STATUS_CONVERGED = "converged below tolerance"
 
 DEFAULT_AUDIT_Z_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0)
-
-RATE_CSV_HEADER = (
-    "weights",
-    "boundary",
-    "m",
-    "level_from",
-    "level_to",
-    "lambda_from",
-    "lambda_to",
-    "gap",
-    "cdf_bound_from",
-    "fitted_rate",
-    "status",
-)
-
-FUNCTION_RATE_CSV_HEADER = (
-    "weights",
-    "boundary",
-    "m",
-    "level_from",
-    "level_to",
-    "sup_gap",
-    "fitted_rate",
-    "status",
-)
-
-AUDIT_CSV_HEADER = ("bound", "instance", "measured", "limit", "slack", "ok")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
 
 def _check_levels(levels: Sequence[int], minimum: int) -> tuple[int, ...]:
     out = tuple(int(n) for n in levels)
@@ -143,61 +112,6 @@ class RateReport:
     envelope_constant_per_m: tuple[float | None, ...]
     fit_drop_deepest_delta: tuple[float | None, ...]
     status_per_m: tuple[str, ...]
-
-    def slope_table(self) -> str:
-        lines = [
-            f"weights {self.weights}  boundary {self.boundary}",
-            f"{'m':>4}  {'fitted slope':>14}  {'envelope C':>12}  {'drop-1 delta':>13}  status",
-        ]
-        for i, m in enumerate(self.indices):
-            slope = self.fitted_rate_per_m[i]
-            env = self.envelope_constant_per_m[i]
-            delta = self.fit_drop_deepest_delta[i]
-            lines.append(
-                f"{m:>4}  {slope if slope is None else f'{slope:14.6f}'!s:>14}  "
-                f"{env if env is None else f'{env:12.5g}'!s:>12}  "
-                f"{delta if delta is None else f'{delta:13.6f}'!s:>13}  "
-                f"{self.status_per_m[i]}"
-            )
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        doc = {
-            "weights": [str(self.weights.w1), str(self.weights.w2)],
-            "boundary": self.boundary,
-            "indices": list(self.indices),
-            "levels": list(self.levels),
-            "lambdas": [list(row) for row in self.lambdas],
-            "cdf_dist_bounds": list(self.cdf_dist_bounds),
-            "successive_gaps": [list(row) for row in self.successive_gaps],
-            "fitted_rate_per_m": list(self.fitted_rate_per_m),
-            "envelope_constant_per_m": list(self.envelope_constant_per_m),
-            "fit_drop_deepest_delta": list(self.fit_drop_deepest_delta),
-            "status_per_m": list(self.status_per_m),
-        }
-        return json.dumps(doc, indent=2)
-
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        rows = [RATE_CSV_HEADER]
-        for i, m in enumerate(self.indices):
-            slope = self.fitted_rate_per_m[i]
-            for j in range(len(self.levels) - 1):
-                rows.append(
-                    (
-                        str(self.weights),
-                        self.boundary,
-                        str(m),
-                        str(self.levels[j]),
-                        str(self.levels[j + 1]),
-                        _fmt(self.lambdas[i][j]),
-                        _fmt(self.lambdas[i][j + 1]),
-                        _fmt(self.successive_gaps[i][j]),
-                        _fmt(self.cdf_dist_bounds[j]),
-                        "" if slope is None else _fmt(slope),
-                        self.status_per_m[i],
-                    )
-                )
-        return rows
 
 
 def eigenvalue_rate_experiment(
@@ -281,39 +195,6 @@ class FunctionRateReport:
     fit_drop_deepest_delta: float | None
     status: str
     grid_size: int
-
-    def to_json(self) -> str:
-        doc = {
-            "weights": [str(self.weights.w1), str(self.weights.w2)],
-            "boundary": self.boundary,
-            "index": self.index,
-            "levels": list(self.levels),
-            "sup_gaps": list(self.sup_gaps),
-            "fitted_rate": self.fitted_rate,
-            "envelope_constant": self.envelope_constant,
-            "fit_drop_deepest_delta": self.fit_drop_deepest_delta,
-            "status": self.status,
-            "grid_size": self.grid_size,
-        }
-        return json.dumps(doc, indent=2)
-
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        rows = [FUNCTION_RATE_CSV_HEADER]
-        slope = self.fitted_rate
-        for j in range(len(self.levels) - 1):
-            rows.append(
-                (
-                    str(self.weights),
-                    self.boundary,
-                    str(self.index),
-                    str(self.levels[j]),
-                    str(self.levels[j + 1]),
-                    _fmt(self.sup_gaps[j]),
-                    "" if slope is None else _fmt(slope),
-                    self.status,
-                )
-            )
-        return rows
 
 
 def refined_grid(w: WeightVector, level: int) -> np.ndarray:
@@ -402,16 +283,6 @@ class AuditRow:
     def slack(self) -> float:
         return self.limit - self.measured
 
-    def csv_row(self) -> tuple[str, ...]:
-        return (
-            self.bound,
-            self.instance,
-            _fmt(self.measured),
-            _fmt(self.limit),
-            _fmt(self.slack),
-            "1" if self.ok else "0",
-        )
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -429,28 +300,6 @@ class AuditReport:
             if cur is None or row.slack < cur.slack:
                 worst[row.bound] = row
         return worst
-
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        return [AUDIT_CSV_HEADER] + [r.csv_row() for r in self.rows]
-
-    def to_json(self) -> str:
-        doc = {
-            "weights": [str(self.weights.w1), str(self.weights.w2)],
-            "levels": list(self.levels),
-            "violations": len(self.violations()),
-            "rows": [
-                {
-                    "bound": r.bound,
-                    "instance": r.instance,
-                    "measured": r.measured,
-                    "limit": r.limit,
-                    "slack": r.slack,
-                    "ok": r.ok,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(doc, indent=2)
 
 
 # Sup-gap constants per solution family, from summing the coefficient-gap

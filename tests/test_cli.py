@@ -65,11 +65,15 @@ class TestConfigParsing:
         assert cfg.level == 0
         assert cfg.boundary == "neumann"
         assert cfg.format == "csv"
-        assert cfg.order is None
+        assert cfg.order == 12
 
     def test_order_integer(self):
         cfg = config_from_argv(["audit", "--order", "24"])
         assert cfg.order == 24
+
+    def test_order_auto_is_the_default(self):
+        assert config_from_argv(["audit", "--order", "auto"]).order == 12
+        assert config_from_argv(["audit"]).order == 12
 
     def test_order_garbage_rejected(self):
         with pytest.raises(ConfigError):

@@ -49,3 +49,43 @@ def test_too_few_levels_for_a_fit_exits_two(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].endswith("error: need at least 3 levels, got 2")
+
+
+def test_bad_mesh_powers_exit_two_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load("oracle_comparison").main(["--mesh-powers", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error:" in err[0]
+
+
+# the scripts write their reports through the CLI's CSV writer, so their files
+# equal the CLI goldens byte for byte
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_bound_audit_file_matches_cli_golden(tmp_path):
+    out = tmp_path / "audit.csv"
+    assert load("bound_audit").main(["--w", "1/3", "--levels", "1:3", "--order", "8", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "audit-w1_3-l1_3.csv").read_bytes()
+
+
+def test_rate_experiments_file_matches_cli_golden(tmp_path):
+    assert load("rate_experiments").main(
+        ["--w", "1/3", "--levels", "2:5", "--m-max", "3", "--out-dir", str(tmp_path)]
+    ) == 0
+    written = (tmp_path / "eigenvalue_rates_w1_3_neumann.csv").read_bytes()
+    assert written == (GOLDEN / "rates-w1_3-l2_5.csv").read_bytes()
+
+
+def test_rate_experiments_files_name_the_exact_weight(tmp_path):
+    # 1/3 and 0.3333 print the same 4-digit float; each keeps its own files
+    assert load("rate_experiments").main(
+        ["--w", "1/3", "--w", "0.3333", "--levels", "2:4", "--m-max", "1", "--out-dir", str(tmp_path)]
+    ) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{kind}_rates_{tag}_{boundary}.csv"
+        for kind in ("eigenvalue", "eigenfunction")
+        for tag in ("w1_3", "w3333_10000")
+        for boundary in ("neumann", "dirichlet")
+    )
