@@ -5,6 +5,8 @@ Checks coefficient factorial bounds, coefficient-gap bounds, the
 closed-form sup-norm gap constants for all four trig-type functions and
 their derivatives, and the CDF sup-distance bounds (telescoping and
 geometric cap), then prints the tightest margin seen per bound family.
+Exits 3, the CLI's code for an inconsistency, when any weight's audit
+reports a violated row.
 
 Usage:
     python3 scripts/bound_audit.py
@@ -42,10 +44,12 @@ def run(args) -> int:
     weights = args.w or [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
 
     report = None
+    violated = False
     for first in weights:
         w = WeightVector.of(first)
         report = bound_audit(w, levels, coeff_order=args.order, raise_on_violation=False)
         bad = report.violations()
+        violated = violated or bool(bad)
         print(f"\nweights ({w.w1}, {w.w2}), levels {','.join(map(str, levels))}: "
               f"{len(report.rows)} bound instances, {len(bad)} violations")
         for name, row in sorted(report.worst_slack_per_bound().items()):
@@ -57,7 +61,7 @@ def run(args) -> int:
     if args.out and report is not None:
         write_report_csv(report, args.out)
         print(f"\nwrote {args.out}")
-    return 0
+    return 3 if violated else 0
 
 
 if __name__ == "__main__":

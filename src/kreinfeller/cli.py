@@ -318,12 +318,11 @@ def _emit(payload: bytes, out_path: str | None) -> None:
 # subcommand handlers; each returns (csv rows incl. header, json document)
 
 
-def _measure_for(cfg: RunConfig, level: int | None = None):
+def _measure_for(cfg: RunConfig):
     from .measures import CantorLevel, WeightVector, cantor_approximant
 
     w = WeightVector.of(cfg.weight)
-    lv = cfg.level if level is None else level
-    return w, cantor_approximant(CantorLevel(w, lv))
+    return w, cantor_approximant(CantorLevel(w, cfg.level))
 
 
 def _count_for(cfg: RunConfig, m_top: int) -> int:
@@ -497,8 +496,9 @@ def write_report_csv(report, out_path: str | None) -> None:
 
 def _run_rates(cfg: RunConfig):
     from .convergence import eigenfunction_rate_experiment, eigenvalue_rate_experiment
+    from .measures import WeightVector
 
-    w, _ = _measure_for(cfg, level=0)
+    w = WeightVector.of(cfg.weight)
     if cfg.rate_kind == "eigenvalue":
         report = eigenvalue_rate_experiment(w, cfg.levels, cfg.boundary, cfg.m_max, tol=cfg.tol)
     else:
@@ -508,8 +508,9 @@ def _run_rates(cfg: RunConfig):
 
 def _run_audit(cfg: RunConfig):
     from .convergence import bound_audit
+    from .measures import WeightVector
 
-    w, _ = _measure_for(cfg, level=0)
+    w = WeightVector.of(cfg.weight)
     report = bound_audit(w, cfg.levels, coeff_order=cfg.order)
     return _report_rows(report), _report_doc(report)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -273,15 +273,16 @@ class AuditRow:
     limit: float
     ok: bool
 
-    def __post_init__(self):
-        # numpy scalars serialize badly; normalize to builtins up front
-        object.__setattr__(self, "measured", float(self.measured))
-        object.__setattr__(self, "limit", float(self.limit))
-        object.__setattr__(self, "ok", bool(self.ok))
-
     @property
     def slack(self) -> float:
         return self.limit - self.measured
+
+
+def _row(bound: str, instance: str, measured, limit, allow=0) -> AuditRow:
+    """The one pass rule: ``measured <= limit + allow``, decided on the values
+    as given, so Fraction rows with ``allow=0`` stay exact; the row then holds
+    builtins, since numpy scalars serialize badly."""
+    return AuditRow(bound, instance, float(measured), float(limit), bool(measured <= limit + allow))
 
 
 @dataclass(frozen=True)
@@ -335,6 +336,19 @@ def _allow(limit: float) -> float:
     return 1e-10 + 1e-12 * abs(limit)
 
 
+# The four alternation families of the coefficient functions, in the order of
+# the factorial rows: name -> (coefficient functions, parity of the index,
+# the functions whose second coefficient drives the factorial envelope).
+_ALTERNATIONS = {
+    "p-odd": ("p_fun", 1, "q_fun"),
+    "p-even": ("p_fun", 0, "p_fun"),
+    "q-odd": ("q_fun", 1, "p_fun"),
+    "q-even": ("q_fun", 0, "q_fun"),
+}
+# the coefficient-gap rows list the same families in this order
+_GAP_ORDER = ("q-even", "p-even", "q-odd", "p-odd")
+
+
 def bound_audit(
     w: WeightVector,
     levels: Sequence[int],
@@ -355,22 +369,20 @@ def bound_audit(
 
     measures = {n: cantor_approximant(CantorLevel(w, n)) for n in levels}
     tables = {n: build_table(measures[n], coeff_order) for n in levels}
-    dists = {}
-    for i, n in enumerate(levels):
-        for m in levels[i + 1:]:
-            dists[(n, m)] = cdf_sup_distance_exact(measures[n], measures[m])
+    pairs = [
+        (n, m, cdf_sup_distance_exact(measures[n], measures[m]))
+        for i, n in enumerate(levels)
+        for m in levels[i + 1:]
+    ]
 
-    rows: list[AuditRow] = []
-    rows += _cdf_rows(w, levels, dists)
-    rows += _self_similarity_rows(w, levels)
+    rows = _cdf_rows(w, pairs) + _self_similarity_rows(w, levels)
     for n in levels:
-        rows += _factorial_rows(n, tables[n], coeff_order)
-    for i, n in enumerate(levels):
-        for m in levels[i + 1:]:
-            dist = dists[(n, m)]
-            rows += _coefficient_gap_rows(n, m, tables[n], tables[m], dist, coeff_order)
-            rows += _trig_gap_rows(n, m, measures[n], measures[m], dist, z_grid)
-            rows += _deriv_gap_rows(n, m, measures[n], measures[m], dist, z_grid)
+        rows += _factorial_rows(n, tables[n])
+    for n, m, dist in pairs:
+        pair, dist_f = f"pair=({n},{m})", float(dist)
+        rows += _coefficient_gap_rows(pair, tables[n], tables[m], dist_f)
+        rows += _trig_gap_rows(pair, measures[n], measures[m], dist_f, z_grid)
+        rows += _deriv_gap_rows(pair, measures[n], measures[m], dist_f, z_grid)
 
     report = AuditReport(weights=w, levels=levels, rows=tuple(rows))
     bad = report.violations()
@@ -385,168 +397,82 @@ def bound_audit(
     return report
 
 
-def _cdf_rows(w: WeightVector, levels, dists) -> list[AuditRow]:
+def _cdf_rows(w: WeightVector, pairs) -> list[AuditRow]:
     rows = []
-    for (n, m), dist in sorted(dists.items()):
+    for n, m, dist in pairs:
         telescoped = sum(w.w2**j for j in range(n, m))
-        rows.append(
-            AuditRow(
-                bound="cdf-telescoping",
-                instance=f"n={n} m={m}",
-                measured=float(dist),
-                limit=float(telescoped),
-                ok=dist <= telescoped,
-            )
-        )
-        cap = w.w2**n / w.w1
-        rows.append(
-            AuditRow(
-                bound="cdf-geometric-cap",
-                instance=f"n={n} m={m}",
-                measured=float(dist),
-                limit=float(cap),
-                ok=dist <= cap,
-            )
-        )
+        rows.append(_row("cdf-telescoping", f"n={n} m={m}", dist, telescoped))
+        rows.append(_row("cdf-geometric-cap", f"n={n} m={m}", dist, w.w2**n / w.w1))
     return rows
 
 
 def _self_similarity_rows(w: WeightVector, levels) -> list[AuditRow]:
-    rows = []
     samples = np.linspace(0.0, 1.0, 730)
-    for n in levels:
-        if n < 1:
-            continue
-        defect = verify_refinement_identity(CantorLevel(w, n), samples)
-        limit = 1e-12
-        rows.append(
-            AuditRow(
-                bound="cdf-self-similarity",
-                instance=f"n={n}",
-                measured=defect,
-                limit=limit,
-                ok=defect <= limit,
-            )
-        )
-    return rows
+    return [
+        _row("cdf-self-similarity", f"n={n}",
+             verify_refinement_identity(CantorLevel(w, n), samples), 1e-12)
+        for n in levels
+        if n >= 1
+    ]
 
 
-def _factorial_rows(level, table: TrigTable, coeff_order) -> list[AuditRow]:
+def _factorial_rows(level, table: TrigTable) -> list[AuditRow]:
     """Coefficient growth: each iterated integral obeys a factorial envelope
-    driven by the second coefficient of the complementary alternation."""
+    in the second coefficient that ``_ALTERNATIONS`` names for its family."""
     grid = table.measure.sample_grid(17)
-    p2 = table.p_fun[2].eval_many(grid)
-    q2 = table.q_fun[2].eval_many(grid)
+    second = {funs: getattr(table, funs)[2].eval_many(grid) for funs in ("p_fun", "q_fun")}
     rows = []
-    specs = (
-        ("p-odd", table.p_fun, 1, q2),
-        ("p-even", table.p_fun, 0, p2),
-        ("q-odd", table.q_fun, 1, p2),
-        ("q-even", table.q_fun, 0, q2),
-    )
-    for name, funs, parity, base in specs:
-        for n in range(1, coeff_order // 2 + 1):
-            k = 2 * n + parity
-            if k >= len(funs):
-                continue
-            coeff = funs[k].eval_many(grid)
-            envelope = base**n / math.factorial(n)
+    for name, (funs, parity, base) in _ALTERNATIONS.items():
+        for n in range(1, table.order // 2 + 1):
+            coeff = getattr(table, funs)[2 * n + parity].eval_many(grid)
+            envelope = second[base] ** n / math.factorial(n)
             excess = float(np.max(coeff - envelope))
-            rows.append(
-                AuditRow(
-                    bound=f"coeff-factorial-{name}",
-                    instance=f"level={level} n={n}",
-                    measured=excess,
-                    limit=0.0,
-                    ok=excess <= _allow(1.0),
-                )
-            )
+            rows.append(_row(f"coeff-factorial-{name}", f"level={level} n={n}",
+                             excess, 0.0, _allow(1.0)))
     return rows
 
 
-def _coefficient_gap_rows(
-    n_level, m_level, table_n: TrigTable, table_m: TrigTable, dist: Fraction, coeff_order
-) -> list[AuditRow]:
+def _coefficient_gap_rows(pair, table_n: TrigTable, table_m: TrigTable, dist_f) -> list[AuditRow]:
     """Two levels' coefficient functions differ by at most
     2 * dist * x^n / (n-1)! — all four alternation families, n >= 1."""
     grid = table_m.measure.sample_grid(17)
-    dist_f = float(dist)
     rows = []
-    specs = (
-        ("q-even", lambda t: t.q_fun, 0),
-        ("p-even", lambda t: t.p_fun, 0),
-        ("q-odd", lambda t: t.q_fun, 1),
-        ("p-odd", lambda t: t.p_fun, 1),
-    )
-    for name, pick, parity in specs:
-        for n in range(1, coeff_order // 2 + 1):
+    for name in _GAP_ORDER:
+        funs, parity, _ = _ALTERNATIONS[name]
+        for n in range(1, table_n.order // 2 + 1):
             k = 2 * n + parity
-            if k >= len(pick(table_n)) or k >= len(pick(table_m)):
-                continue
             gap = np.abs(
-                pick(table_n)[k].eval_many(grid) - pick(table_m)[k].eval_many(grid)
+                getattr(table_n, funs)[k].eval_many(grid)
+                - getattr(table_m, funs)[k].eval_many(grid)
             )
             envelope = 2.0 * dist_f * grid**n / math.factorial(n - 1)
             excess = float(np.max(gap - envelope))
-            rows.append(
-                AuditRow(
-                    bound=f"coeff-gap-{name}",
-                    instance=f"pair=({n_level},{m_level}) n={n}",
-                    measured=excess,
-                    limit=0.0,
-                    ok=excess <= _allow(2.0 * dist_f),
-                )
-            )
+            rows.append(_row(f"coeff-gap-{name}", f"{pair} n={n}",
+                             excess, 0.0, _allow(2.0 * dist_f)))
     return rows
 
 
-def _trig_gap_rows(
-    n_level, m_level, mu_n: Measure, mu_m: Measure, dist: Fraction, z_grid
-) -> list[AuditRow]:
+def _trig_gap_rows(pair, mu_n: Measure, mu_m: Measure, dist_f, z_grid) -> list[AuditRow]:
     grid = mu_m.sample_grid(17)
-    dist_f = float(dist)
     rows = []
     for z in z_grid:
         for family, const in _FAMILY_CONSTANTS.items():
-            gap = float(
-                np.max(
-                    np.abs(
-                        eval_on_grid(mu_n, z, grid, family)
-                        - eval_on_grid(mu_m, z, grid, family)
-                    )
-                )
+            gap = np.max(
+                np.abs(eval_on_grid(mu_n, z, grid, family) - eval_on_grid(mu_m, z, grid, family))
             )
             limit = const(z) * dist_f
-            rows.append(
-                AuditRow(
-                    bound=f"trig-gap-{family}",
-                    instance=f"pair=({n_level},{m_level}) z={z:g}",
-                    measured=gap,
-                    limit=limit,
-                    ok=gap <= limit + _allow(limit),
-                )
-            )
+            rows.append(_row(f"trig-gap-{family}", f"{pair} z={z:g}", gap, limit, _allow(limit)))
     return rows
 
 
-def _deriv_gap_rows(n_level, m_level, mu_n, mu_m, dist: Fraction, z_grid) -> list[AuditRow]:
-    dist_f = float(dist)
+def _deriv_gap_rows(pair, mu_n: Measure, mu_m: Measure, dist_f, z_grid) -> list[AuditRow]:
     rows = []
     for z in z_grid:
-        rn = boundary_values(mu_n, z)
-        rm = boundary_values(mu_m, z)
+        rn, rm = boundary_values(mu_n, z), boundary_values(mu_m, z)
         limit = 2.0 * dist_f * deriv_gap_sum(z)
         for name, gap in (
             ("sinp-prime", abs(rn.sp_prime - rm.sp_prime)),
             ("sinq-prime", abs(rn.sq_prime - rm.sq_prime)),
         ):
-            rows.append(
-                AuditRow(
-                    bound=f"deriv-gap-{name}",
-                    instance=f"pair=({n_level},{m_level}) z={z:g}",
-                    measured=gap,
-                    limit=limit,
-                    ok=gap <= limit + _allow(limit),
-                )
-            )
+            rows.append(_row(f"deriv-gap-{name}", f"{pair} z={z:g}", gap, limit, _allow(limit)))
     return rows

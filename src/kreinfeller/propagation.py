@@ -134,7 +134,7 @@ def eval_on_grid(mu: Measure, z: float, xs, family: str) -> np.ndarray:
     return 0.0 - out if family == "sp" else out
 
 
-def zero_count(mu: Measure, z: float, family: str, zero_at_one: bool) -> int:
+def zero_count(mu: Measure, z: float, family: str) -> int:
     """Number of zeros in (0, 1] of ``cp`` or ``sq`` at z > 0, in closed form.
 
     On a piece with density d > 0 the column's u is
@@ -144,16 +144,14 @@ def zero_count(mu: Measure, z: float, family: str, zero_at_one: bool) -> int:
     angle over pi) is held to the sign of the propagated value there, so
     rounding at a breakpoint never counts a zero twice or drops it.  On a
     massless piece u is linear and has a zero iff it changes sign.
-    ``zero_at_one`` takes x = 1 as a zero by definition (a Dirichlet
-    eigenfunction at its eigenvalue): the last exit index is then the final
-    angle rounded to the nearest multiple of pi.
+    For ``sq`` the count is #{m : z_m < z} over the Dirichlet roots z_m, so
+    a Dirichlet eigenfunction's zeros are counted at its certified bracket's
+    upper end, where u(1) is away from zero, not at the root itself.
     """
     if family not in ("cp", "sq"):
         raise DomainError(f"zero counts are for cp or sq, got {family!r}")
     us, vs = _column(mu, z, family)
     u, v, u_exit = us[:-1], vs[:-1], us[1:]
-    if zero_at_one:
-        u_exit[-1] = 0.0
     m = mu._dens > 0.0
     # massless pieces: a zero in (0, h] is a sign change or a zero at the exit
     gap, gap_exit = u[~m], u_exit[~m]

@@ -398,15 +398,17 @@ def count_zeros(ef: Eigenfunction) -> int:
     Dirichlet counts the interior zeros plus the two boundary zeros.
 
     Counted in closed form from the propagation sweep by
-    :func:`kreinfeller.propagation.zero_count`, with x = 1 taken as a zero
-    for Dirichlet; no sampling.
+    :func:`kreinfeller.propagation.zero_count`; no sampling.  Neumann counts
+    at the root, where cp(1) is nonzero.  Dirichlet counts at the certified
+    bracket's upper end, where sq(1) is certified nonzero and the zero at
+    x = 1 has just moved inside: at the root itself, rounding the final angle
+    of a tail that decays towards x = 1 can add a spurious zero.
     """
     rec = ef.record
-    if rec.boundary == NEUMANN and rec.index == 0:
-        return 0
-    dirichlet = rec.boundary == DIRICHLET
+    if rec.boundary == NEUMANN:
+        return 0 if rec.index == 0 else zero_count(ef.measure, rec.z, "cp")
     # zero_count covers (0, 1]; a Dirichlet eigenfunction also vanishes at 0
-    return zero_count(ef.measure, rec.z, ef.family(), dirichlet) + (1 if dirichlet else 0)
+    return zero_count(ef.measure, rec.bracket_hi, "sq") + 1
 
 
 def fem_oracle(

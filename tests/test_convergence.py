@@ -275,6 +275,20 @@ class TestBoundAudit:
         with pytest.raises(ConfigError):
             bound_audit(HALF, [1, 2], coeff_order=1)
 
+    def test_exact_row_is_decided_before_rounding(self):
+        # 1e-40 over the limit: equal as floats, a violation as Fractions
+        limit = F(1, 3)
+        row = conv._row("cdf-telescoping", "n=1 m=2", limit + F(1, 10**40), limit)
+        assert row.measured == row.limit
+        assert row.ok is False
+
+    def test_float_row_passes_at_its_allowance(self):
+        limit = 0.125
+        allow = conv._allow(limit)
+        row = conv._row("trig-gap-cp", "pair=(1,2) z=1", limit + allow, limit, allow)
+        assert row.measured > row.limit
+        assert row.ok is True
+
     def test_even_constant_fails_odd_family(self):
         # the n=0 coefficient gap of the CDF-normalized odd family contributes
         # z * dist, which the even families' 2 z^2 e^{z^2} envelope undercuts

@@ -1,5 +1,6 @@
 """The scripts under scripts/: tiny end-to-end runs and rejected command lines."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -26,6 +27,24 @@ def load(name):
 def test_tiny_config_runs(name, capsys):
     assert load(name).main(TINY[name]) == 0
     assert "weights (1/3, 2/3)" in capsys.readouterr().out
+
+
+def test_bound_audit_exits_three_on_a_violation(monkeypatch, capsys):
+    # the audit runs with raise_on_violation=False, so a violated row must
+    # still reach the exit code
+    from kreinfeller.convergence import AuditRow
+
+    module = load("bound_audit")
+    audit = module.bound_audit
+
+    def with_one_violation(*args, **kwargs):
+        report = audit(*args, **kwargs)
+        bad = AuditRow("cdf-telescoping", "n=1 m=2", 2.0, 1.0, False)
+        return dataclasses.replace(report, rows=report.rows + (bad,))
+
+    monkeypatch.setattr(module, "bound_audit", with_one_violation)
+    assert module.main(TINY["bound_audit"]) == 3
+    assert "  VIOLATED cdf-telescoping [n=1 m=2]" in capsys.readouterr().out
 
 
 def test_levels_take_a_comma_list(capsys):

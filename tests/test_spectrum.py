@@ -287,9 +287,6 @@ class TestZeroCountAgainstSampler:
         _assert_zero_counts_match_sampler(mu)
 
 
-@pytest.mark.xfail(strict=True, reason="count_zeros counts a spurious zero on the last piece, where "
-                   "the eigenfunction is about 6e-7; ROADMAP direction 1: count at the certified "
-                   "bracket ends")
 def test_w3_7_level4_dirichlet_m16_follows_the_index_law():
     mu = cantor(F(3, 7), F(4, 7), 4)
     rec = find_eigenvalues(mu, "dirichlet", 16)[-1]
