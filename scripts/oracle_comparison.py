@@ -19,7 +19,7 @@ from fractions import Fraction
 from kreinfeller.cli import parse_levels, parse_weight
 from kreinfeller.errors import ConfigError
 from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
-from kreinfeller.spectrum import fem_oracle, find_eigenvalues
+from kreinfeller.spectrum import fem_oracle, find_eigenvalues, record_count, relative_gap
 
 
 def main(argv=None) -> int:
@@ -49,7 +49,7 @@ def run(args) -> int:
         for level in args.levels:
             mu = cantor_approximant(CantorLevel(w, level))
             for boundary in ("neumann", "dirichlet"):
-                count = args.m_max + 1 if boundary == "neumann" else args.m_max
+                count = record_count(boundary, args.m_max)
                 records = find_eigenvalues(mu, boundary, count)
                 start = 1 if boundary == "neumann" else 0
                 cells = []
@@ -59,8 +59,7 @@ def run(args) -> int:
                         continue
                     fem = fem_oracle(mu, 3.0**-k, count, boundary)
                     worst = max(
-                        abs(r.lam - lf) / max(abs(r.lam), 1.0)
-                        for r, lf in list(zip(records, fem))[start:]
+                        relative_gap(r.lam, lf) for r, lf in list(zip(records, fem))[start:]
                     )
                     cells.append(f"{worst:10.3e}")
                 print(f"   {level}     {boundary:9s} " + "  ".join(cells))

@@ -38,7 +38,6 @@ _EXPORTS = {
     "EigenvalueRecord": ".spectrum",
     "Eigenfunction": ".spectrum",
     "find_eigenvalues": ".spectrum",
-    "records_to_rows": ".spectrum",
     "eigenfunction": ".spectrum",
     "eigenfunction_eval": ".spectrum",
     "eigenfunction_l2_norm": ".spectrum",

@@ -9,16 +9,23 @@ Six subcommands cover the toolkit's surface:
     audit           proven-bound audit report
     oracle-compare  spectral solver vs. finite-element oracle, side by side
 
-This module is the package's only writer of CSV and JSON.  Every
-subcommand's handler, and ``write_report_csv`` for the scripts, lays out
-its rows and documents here; the computing modules return plain data.
+This module is the package's only writer of CSV and JSON; the computing
+modules return plain data.  Every subcommand's handler builds one list of
+raw rows (header first), and both formats come from it: CSV formats each
+cell by one rule, and JSON takes the rows in one of two layouts, columns
+(``sincurve``, ``eigfun``, ``oracle-compare``) or records (``eigvals``,
+``audit``).  A ``rates`` document is the report's fields, which its
+long-form rows cannot give back.  ``write_report_csv`` writes the scripts'
+report files from the same rows.  ``EigenvalueRecord.csv_row`` in
+``spectrum`` remains only for the benchmark harness.
 
 Design constraints honored here:
 
 * Deterministic output: identical configuration -> byte-identical file.
-  All floats are printed with 17 significant digits, CSV is RFC-4180
-  (CRLF line endings, minimal quoting), JSON is UTF-8, one document per
-  file, with fixed key order.
+  CSV floats are printed with 17 significant digits and JSON floats in
+  their shortest round-trip form; CSV is RFC-4180 (CRLF line endings,
+  minimal quoting), JSON is UTF-8, one document per file, with fixed key
+  order.
 * Atomic writes: output lands in a temporary sibling file first and is
   renamed into place; a failure mid-run leaves no partial output.
 * Errors exit nonzero with a one-line machine-readable JSON description
@@ -65,10 +72,6 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 THREADS_ENV = "KREINFELLER_THREADS"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def parse_weight(text: str) -> Fraction:
@@ -131,7 +134,7 @@ class RunConfig:
     boundary: str = "neumann"
     m_max: int = 4
     m_index: int = 1
-    m_list: tuple[int, ...] = ()  # eigfun indices; empty means (m_index,)
+    m_list: tuple[int, ...] = (1,)  # eigfun indices
     normalized: bool = False
     tol: float = 1e-12
     order: int = DEFAULT_ORDER
@@ -157,16 +160,9 @@ class RunConfig:
             raise ConfigError(f"unknown rate kind {self.rate_kind!r}; expected one of {RATE_KINDS}")
         if not (TOL_MIN <= self.tol <= TOL_MAX):
             raise ConfigError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {self.tol:g}")
-        if self.level < 0:
-            raise ConfigError(f"level must be nonnegative, got {self.level}")
-        if self.level > self.level_cap:
-            raise ResourceError(
-                f"level {self.level} exceeds the configured cap {self.level_cap}; "
-                "raise --level-cap explicitly to go deeper"
-            )
-        for lv in self.levels:
+        for lv in (self.level, *self.levels):
             if lv < 0:
-                raise ConfigError(f"levels must be nonnegative, got {lv}")
+                raise ConfigError(f"level must be nonnegative, got {lv}")
             if lv > self.level_cap:
                 raise ResourceError(
                     f"level {lv} exceeds the configured cap {self.level_cap}; "
@@ -286,11 +282,36 @@ def config_from_argv(argv: list[str]) -> RunConfig:
 # output plumbing
 
 
-def _csv_bytes(rows: list[tuple[str, ...]]) -> bytes:
+def _cell(value) -> str:
+    """CSV text of one raw cell: a float at 17 significant digits, a bool as
+    1/0, None as an empty cell, anything else through ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _csv_bytes(rows: list[tuple]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerows(rows)
+    writer.writerows(map(_cell, row) for row in rows)
     return buf.getvalue().encode("utf-8")
+
+
+def _columns(rows: list[tuple], names) -> dict:
+    """JSON columns layout: each named column of ``rows`` (header first) as a list."""
+    at = [rows[0].index(name) for name in names]
+    return {name: [row[i] for row in rows[1:]] for name, i in zip(names, at)}
+
+
+def _records(rows: list[tuple], names) -> list[dict]:
+    """JSON records layout: one object per row of ``rows`` (header first),
+    holding the named columns."""
+    at = [rows[0].index(name) for name in names]
+    return [{name: row[i] for name, i in zip(names, at)} for row in rows[1:]]
 
 
 def _json_bytes(doc: dict) -> bytes:
@@ -315,110 +336,27 @@ def _emit(payload: bytes, out_path: str | None) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers; each returns (csv rows incl. header, json document)
-
-
-def _measure_for(cfg: RunConfig):
-    from .measures import CantorLevel, WeightVector, cantor_approximant
-
-    w = WeightVector.of(cfg.weight)
-    return w, cantor_approximant(CantorLevel(w, cfg.level))
-
-
-def _count_for(cfg: RunConfig, m_top: int) -> int:
-    # Neumann tables start at the flat m=0 mode, so index m sits at position m.
-    return m_top + 1 if cfg.boundary == "neumann" else m_top
+# subcommand handlers; each returns (raw rows incl. header, json document)
 
 
 def _weights(w) -> list[str]:
     return [str(w.w1), str(w.w2)]
 
 
-def _json_header(cfg: RunConfig, w) -> dict:
-    return {
-        "command": cfg.command,
-        "weights": _weights(w),
-        "level": cfg.level,
-    }
+def _measure_for(cfg: RunConfig, *keys: str):
+    """The configured approximant and the JSON document's leading keys:
+    command, weights, level, then the named config fields."""
+    from .measures import CantorLevel, WeightVector, cantor_approximant
+
+    w = WeightVector.of(cfg.weight)
+    doc = {"command": cfg.command, "weights": _weights(w), "level": cfg.level}
+    doc.update((key, getattr(cfg, key)) for key in keys)
+    return cantor_approximant(CantorLevel(w, cfg.level)), doc
 
 
-def _run_eigvals(cfg: RunConfig):
-    from .spectrum import find_eigenvalues, records_to_rows
-
-    w, mu = _measure_for(cfg)
-    records = find_eigenvalues(
-        mu, cfg.boundary, _count_for(cfg, cfg.m_max), tol=cfg.tol, scan_ceiling=cfg.scan_ceiling
-    )
-    rows = records_to_rows(records)
-    doc = _json_header(cfg, w)
-    doc["boundary"] = cfg.boundary
-    doc["records"] = [
-        {
-            "m": r.index,
-            "z": r.z,
-            "lambda": r.lam,
-            "bracket_lo": r.bracket_lo,
-            "bracket_hi": r.bracket_hi,
-            "residual": r.residual,
-            "error_bound": r.error_bound,
-        }
-        for r in records
-    ]
-    return rows, doc
-
-
-def _run_eigfun(cfg: RunConfig):
-    from .spectrum import eigenfunction, eigenfunction_eval, find_eigenvalues
-
-    m_list = cfg.m_list or (cfg.m_index,)
-    w, mu = _measure_for(cfg)
-    if cfg.boundary == "dirichlet" and min(m_list) < 1:
-        raise ConfigError("dirichlet indices start at m=1")
-    records = find_eigenvalues(
-        mu, cfg.boundary, _count_for(cfg, max(m_list)), tol=cfg.tol, scan_ceiling=cfg.scan_ceiling
-    )
-    by_index = {r.index: r for r in records}
-    xs = mu.sample_grid(cfg.x_points).tolist()
-    header = ["x"] + [f"f_{cfg.boundary[0]}_{m}" for m in m_list]
-    columns = []
-    for m in m_list:
-        if m not in by_index:
-            raise ConfigError(f"index {m} not available for boundary {cfg.boundary}")
-        ef = eigenfunction(mu, by_index[m])
-        values = eigenfunction_eval(ef, xs, normalized=cfg.normalized)
-        columns.append([float(v) for v in values])
-    rows = [tuple(header)]
-    for i, x in enumerate(xs):
-        rows.append((_fmt(x),) + tuple(_fmt(col[i]) for col in columns))
-    doc = _json_header(cfg, w)
-    doc["boundary"] = cfg.boundary
-    doc["normalized"] = cfg.normalized
-    doc["x"] = xs
-    doc["values"] = {str(m): columns[j] for j, m in enumerate(m_list)}
-    doc["z"] = {str(m): by_index[m].z for m in m_list}
-    return rows, doc
-
-
-def _run_sincurve(cfg: RunConfig):
-    from .propagation import boundary_values
-
-    w, mu = _measure_for(cfg)
-    zs = [cfg.z_max * k / (cfg.z_points - 1) for k in range(cfg.z_points)]
-    rows = [("z", "sinp", "sinq")]
-    sp_col: list[float] = []
-    sq_col: list[float] = []
-    for z in zs:
-        r = boundary_values(mu, z)
-        sp_col.append(r.sp)
-        sq_col.append(r.sq)
-        rows.append((_fmt(z), _fmt(r.sp), _fmt(r.sq)))
-    doc = _json_header(cfg, w)
-    doc["z"] = zs
-    doc["sinp"] = sp_col
-    doc["sinq"] = sq_col
-    return rows, doc
-
-
+EIGVALS_CSV_HEADER = (
+    "boundary", "m", "z", "lambda", "bracket_lo", "bracket_hi", "residual", "error_bound",
+)
 RATE_CSV_HEADER = (
     "weights", "boundary", "m", "level_from", "level_to",
     "lambda_from", "lambda_to", "gap", "cdf_bound_from", "fitted_rate", "status",
@@ -429,63 +367,108 @@ FUNCTION_RATE_CSV_HEADER = (
 AUDIT_CSV_HEADER = ("bound", "instance", "measured", "limit", "slack", "ok")
 
 
-def _fit(slope: float | None) -> str:
-    return "" if slope is None else _fmt(slope)
+def _eigvals_rows(records) -> list[tuple]:
+    """Raw rows, header first, of eigenvalue records."""
+    return [EIGVALS_CSV_HEADER] + [
+        (r.boundary, r.index, r.z, r.lam, r.bracket_lo, r.bracket_hi, r.residual, r.error_bound)
+        for r in records
+    ]
 
 
-def _report_rows(report) -> list[tuple[str, ...]]:
-    """CSV rows, header first, of a ``convergence`` rate or audit report."""
+def _run_eigvals(cfg: RunConfig):
+    from .spectrum import find_eigenvalues, record_count
+
+    mu, doc = _measure_for(cfg, "boundary")
+    count = record_count(cfg.boundary, cfg.m_max)
+    records = find_eigenvalues(mu, cfg.boundary, count, tol=cfg.tol, scan_ceiling=cfg.scan_ceiling)
+    rows = _eigvals_rows(records)
+    doc["records"] = _records(rows, EIGVALS_CSV_HEADER[1:])
+    return rows, doc
+
+
+def _run_eigfun(cfg: RunConfig):
+    from .spectrum import eigenfunction, eigenfunction_eval, find_eigenvalues, record_count
+
+    mu, doc = _measure_for(cfg, "boundary", "normalized")
+    if cfg.boundary == "dirichlet" and min(cfg.m_list) < 1:
+        raise ConfigError("dirichlet indices start at m=1")
+    count = record_count(cfg.boundary, max(cfg.m_list))
+    records = find_eigenvalues(mu, cfg.boundary, count, tol=cfg.tol, scan_ceiling=cfg.scan_ceiling)
+    by_index = {r.index: r for r in records}
+    xs = mu.sample_grid(cfg.x_points).tolist()
+    columns = [xs]
+    for m in cfg.m_list:
+        if m not in by_index:
+            raise ConfigError(f"index {m} not available for boundary {cfg.boundary}")
+        ef = eigenfunction(mu, by_index[m])
+        columns.append(eigenfunction_eval(ef, xs, normalized=cfg.normalized).tolist())
+    header = ("x", *(f"f_{cfg.boundary[0]}_{m}" for m in cfg.m_list))
+    rows = [header, *zip(*columns)]
+    values = _columns(rows, header)
+    doc["x"] = values.pop("x")
+    doc["values"] = dict(zip(map(str, cfg.m_list), values.values()))
+    doc["z"] = {str(m): by_index[m].z for m in cfg.m_list}
+    return rows, doc
+
+
+def _run_sincurve(cfg: RunConfig):
+    from .propagation import boundary_values
+
+    mu, doc = _measure_for(cfg)
+    rows = [("z", "sinp", "sinq")]
+    for k in range(cfg.z_points):
+        z = cfg.z_max * k / (cfg.z_points - 1)
+        r = boundary_values(mu, z)
+        rows.append((z, r.sp, r.sq))
+    doc.update(_columns(rows, rows[0]))
+    return rows, doc
+
+
+def _report_rows(report) -> list[tuple]:
+    """Raw rows, header first, of a ``convergence`` rate or audit report."""
     from .convergence import AuditReport, RateReport
 
     if isinstance(report, AuditReport):
-        rows = [AUDIT_CSV_HEADER]
-        for r in report.rows:
-            ok = "1" if r.ok else "0"
-            rows.append((r.bound, r.instance, _fmt(r.measured), _fmt(r.limit), _fmt(r.slack), ok))
-        return rows
+        return [AUDIT_CSV_HEADER] + [
+            (r.bound, r.instance, r.measured, r.limit, r.slack, r.ok) for r in report.rows
+        ]
     lead = (str(report.weights), report.boundary)
     steps = list(enumerate(zip(report.levels, report.levels[1:])))
     if isinstance(report, RateReport):
         rows = [RATE_CSV_HEADER]
         for i, m in enumerate(report.indices):
             lams, gaps = report.lambdas[i], report.successive_gaps[i]
-            tail = (_fit(report.fitted_rate_per_m[i]), report.status_per_m[i])
+            tail = (report.fitted_rate_per_m[i], report.status_per_m[i])
             for j, (lo, hi) in steps:
                 values = (lams[j], lams[j + 1], gaps[j], report.cdf_dist_bounds[j])
-                rows.append(lead + (str(m), str(lo), str(hi)) + tuple(map(_fmt, values)) + tail)
+                rows.append(lead + (m, lo, hi) + values + tail)
         return rows
     rows = [FUNCTION_RATE_CSV_HEADER]
-    tail = (_fit(report.fitted_rate), report.status)
+    tail = (report.fitted_rate, report.status)
     for j, (lo, hi) in steps:
-        rows.append(lead + (str(report.index), str(lo), str(hi), _fmt(report.sup_gaps[j])) + tail)
+        rows.append(lead + (report.index, lo, hi, report.sup_gaps[j]) + tail)
     return rows
 
 
-def _report_doc(report) -> dict:
-    """JSON document of a ``convergence`` report: a rate report's fields in
-    declaration order, or the audit's rows with their slack and a violation count."""
+def _report_output(report) -> tuple[list[tuple], dict]:
+    """Raw rows and JSON document of a ``convergence`` report.  The audit's
+    document holds its rows as records and a violation count; a rate
+    report's is its fields in declaration order, which the long-form rows
+    cannot give back."""
     from .convergence import AuditReport
 
+    rows = _report_rows(report)
     if isinstance(report, AuditReport):
-        return {
+        doc = {
             "weights": _weights(report.weights),
             "levels": report.levels,
             "violations": len(report.violations()),
-            "rows": [
-                {
-                    "bound": r.bound,
-                    "instance": r.instance,
-                    "measured": r.measured,
-                    "limit": r.limit,
-                    "slack": r.slack,
-                    "ok": r.ok,
-                }
-                for r in report.rows
-            ],
+            "rows": _records(rows, AUDIT_CSV_HEADER),
         }
-    doc = {f.name: getattr(report, f.name) for f in fields(report)}
-    doc["weights"] = _weights(report.weights)
-    return doc
+    else:
+        doc = {f.name: getattr(report, f.name) for f in fields(report)}
+        doc["weights"] = _weights(report.weights)
+    return rows, doc
 
 
 def write_report_csv(report, out_path: str | None) -> None:
@@ -503,7 +486,7 @@ def _run_rates(cfg: RunConfig):
         report = eigenvalue_rate_experiment(w, cfg.levels, cfg.boundary, cfg.m_max, tol=cfg.tol)
     else:
         report = eigenfunction_rate_experiment(w, cfg.levels, cfg.boundary, cfg.m_index)
-    return _report_rows(report), _report_doc(report)
+    return _report_output(report)
 
 
 def _run_audit(cfg: RunConfig):
@@ -511,35 +494,27 @@ def _run_audit(cfg: RunConfig):
     from .measures import WeightVector
 
     w = WeightVector.of(cfg.weight)
-    report = bound_audit(w, cfg.levels, coeff_order=cfg.order)
-    return _report_rows(report), _report_doc(report)
+    return _report_output(bound_audit(w, cfg.levels, coeff_order=cfg.order))
 
 
 def _run_oracle_compare(cfg: RunConfig):
-    from .spectrum import fem_oracle, find_eigenvalues
+    from .spectrum import fem_oracle, find_eigenvalues, record_count, relative_gap
 
-    w, mu = _measure_for(cfg)
+    mu, doc = _measure_for(cfg, "boundary")
     if cfg.mesh_power < cfg.level:
         raise ConfigError(
             f"mesh 3^-{cfg.mesh_power} cannot resolve level-{cfg.level} breakpoints; "
             "raise --mesh-power to at least the level"
         )
-    count = _count_for(cfg, cfg.m_max)
+    count = record_count(cfg.boundary, cfg.m_max)
     records = find_eigenvalues(mu, cfg.boundary, count, tol=cfg.tol, scan_ceiling=cfg.scan_ceiling)
     mesh = 3.0 ** (-cfg.mesh_power)
     fem = fem_oracle(mu, mesh, count, cfg.boundary)
     rows = [("boundary", "m", "lambda_spectral", "lambda_fem", "rel_gap")]
-    gaps: list[float] = []
     for r, lam_fem in zip(records, fem):
-        gap = abs(r.lam - lam_fem) / max(abs(r.lam), 1.0)
-        gaps.append(gap)
-        rows.append((cfg.boundary, str(r.index), _fmt(r.lam), _fmt(lam_fem), _fmt(gap)))
-    doc = _json_header(cfg, w)
-    doc["boundary"] = cfg.boundary
+        rows.append((cfg.boundary, r.index, r.lam, lam_fem, relative_gap(r.lam, lam_fem)))
     doc["mesh"] = mesh
-    doc["lambda_spectral"] = [r.lam for r in records]
-    doc["lambda_fem"] = list(fem)
-    doc["rel_gap"] = gaps
+    doc.update(_columns(rows, rows[0][2:]))
     return rows, doc
 
 

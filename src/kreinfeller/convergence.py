@@ -39,7 +39,7 @@ from .measures import (
 )
 from .propagation import boundary_values, eval_on_grid
 from .series import TrigTable, build_table
-from .spectrum import NEUMANN, find_eigenvalues
+from .spectrum import NEUMANN, eigenfunction, eigenfunction_eval, find_eigenvalues, record_count
 
 STATUS_OK = "ok"
 STATUS_CONVERGED = "converged below tolerance"
@@ -132,7 +132,7 @@ def eigenvalue_rate_experiment(
     if m_max < 1:
         raise ConfigError(f"m_max must be >= 1, got {m_max}")
 
-    count = m_max + 1 if boundary == NEUMANN else m_max
+    count = record_count(boundary, m_max)
     per_level: list[list[float]] = []
     for n in levels:
         mu = cantor_approximant(CantorLevel(w, n))
@@ -230,8 +230,7 @@ def eigenfunction_rate_experiment(
         if grid.size < 2:
             raise ConfigError("x_grid needs at least two points")
 
-    family = "cp" if boundary == NEUMANN else "sq"
-    count = m + 1 if boundary == NEUMANN else m
+    count = record_count(boundary, m)
     values: list[np.ndarray] = []
     for n in levels:
         mu = cantor_approximant(CantorLevel(w, n))
@@ -240,7 +239,7 @@ def eigenfunction_rate_experiment(
             raise InconsistencyError(
                 f"requested index {m}, solver returned {rec.index} at level {n}"
             )
-        values.append(eval_on_grid(mu, rec.z, grid, family))
+        values.append(eigenfunction_eval(eigenfunction(mu, rec), grid))
 
     gaps = tuple(
         float(np.max(np.abs(values[j + 1] - values[j])))

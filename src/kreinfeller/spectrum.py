@@ -14,7 +14,7 @@ The scan-and-refine strategy:
 * halve the step whenever the boundary value dips under ten times its rounding
   estimate without a sign change.  This does not rule out a close pair: simple
   roots 0.001-0.008 apart are stepped over for w = 1/2 Dirichlet (ROADMAP.md,
-  "Measured"; direction 1 there proves each index by :func:`count_zeros`),
+  "Measured"; direction 2 there proves each index by :func:`count_zeros`),
 * refine each certified sign change with Brent's method,
 * re-certify a tight bracket around the refined root whose endpoint values
   exceed their rounding estimates with opposite signs.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,17 +35,6 @@ from .propagation import boundary_values, eval_on_grid, zero_count
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 _BOUNDARIES = (NEUMANN, DIRICHLET)
-
-CSV_HEADER = (
-    "boundary",
-    "m",
-    "z",
-    "lambda",
-    "bracket_lo",
-    "bracket_hi",
-    "residual",
-    "error_bound",
-)
 
 _DEFAULT_CEILING = 500.0
 
@@ -65,7 +54,7 @@ class EigenvalueRecord:
     rounding estimate of the boundary value ``sp(1)`` or ``sq(1)`` at the root
     (in units of that value, not of ``z``).  The second term usually dominates:
     for w = 3/7, level 4, Dirichlet, m = 16 it reads 1.1e-3 on a bracket
-    3e-11 wide.  ROADMAP.md, direction 3, plans a sound bound.
+    3e-11 wide.  ROADMAP.md, direction 5(a), plans a sound bound.
     """
 
     index: int
@@ -78,6 +67,7 @@ class EigenvalueRecord:
     error_bound: float
 
     def csv_row(self) -> tuple[str, ...]:
+        """CSV cells for ``perfbench/workloads.py``, its sole caller; ROADMAP direction 1 drops it."""
         return (
             self.boundary,
             str(self.index),
@@ -92,11 +82,6 @@ class EigenvalueRecord:
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
-
-
-def records_to_rows(records: Iterable[EigenvalueRecord]) -> list[tuple[str, ...]]:
-    """Header row plus one row per record, every float at 17 significant digits."""
-    return [CSV_HEADER] + [r.csv_row() for r in records]
 
 
 @dataclass(frozen=True)
@@ -180,6 +165,12 @@ def _certify_bracket(
         delta *= 4.0
     # fall back to the scan bracket, which already carried a raw sign change
     return lo0, hi0
+
+
+def record_count(boundary: str, m: int) -> int:
+    """How many records :func:`find_eigenvalues` must return to reach index ``m``:
+    ``m + 1`` for Neumann, whose m = 0 mode comes first, ``m`` for Dirichlet."""
+    return m + 1 if boundary == NEUMANN else m
 
 
 def find_eigenvalues(
@@ -476,3 +467,9 @@ def fem_oracle(
     energy += ground[0] * vecs[0] ** 2 + ground[1] * vecs[-1] ** 2
     weight = m_diag @ vecs**2 + 2.0 * (m_off @ (vecs[:-1] * vecs[1:]))
     return sorted((energy / weight).tolist())
+
+
+def relative_gap(lam: float, lam_fem: float) -> float:
+    """Gap between a spectral and a :func:`fem_oracle` eigenvalue, relative to
+    the spectral one, or absolute below 1."""
+    return abs(lam - lam_fem) / max(abs(lam), 1.0)

@@ -11,14 +11,23 @@ from fractions import Fraction
 import pytest
 
 from kreinfeller.cli import (
+    EIGVALS_CSV_HEADER,
     RunConfig,
     parse_levels,
     parse_weight,
+    _csv_bytes,
+    _eigvals_rows,
+    _json_bytes,
     _pin_threads,
+    _report_output,
+    _report_rows,
     config_from_argv,
     main,
 )
+from kreinfeller.convergence import STATUS_CONVERGED, eigenvalue_rate_experiment
 from kreinfeller.errors import ConfigError, ResourceError
+from kreinfeller.measures import Measure, WeightVector
+from kreinfeller.spectrum import find_eigenvalues
 
 
 def run_cli(args, tmp_path=None):
@@ -128,6 +137,15 @@ class TestConfigParsing:
         with pytest.raises(ResourceError):
             config_from_argv(["rates", "--levels", "9:11"])
 
+    @pytest.mark.parametrize("levels", [{"level": -1}, {"levels": (2, -1, 3)}])
+    def test_negative_level_is_a_config_error(self, levels):
+        with pytest.raises(ConfigError, match="level must be nonnegative"):
+            RunConfig(command="rates", **levels)
+
+    def test_eigfun_indices_default_to_one(self):
+        assert config_from_argv(["eigfun"]).m_list == (1,)
+        assert RunConfig(command="eigfun").m_list == (1,)
+
     def test_runconfig_rejects_unknown_command(self):
         with pytest.raises(ConfigError):
             RunConfig(command="solve-everything")
@@ -210,6 +228,21 @@ class TestEigvalsCommand:
         for rec, row in zip(records, rows[1:]):
             assert float(row[2]) == rec.z  # 17 significant digits round-trip exactly
             assert float(row[3]) == rec.lam
+
+
+class TestCsvRows:
+    def test_rows_round_trip(self):
+        recs = find_eigenvalues(Measure.lebesgue(), "neumann", 3)
+        rows = parse_csv_bytes(_csv_bytes(_eigvals_rows(recs)))
+        assert rows[0] == list(EIGVALS_CSV_HEADER)
+        assert len(rows) == 4
+        for row, rec in zip(rows[1:], recs):
+            assert row[0] == "neumann"
+            assert int(row[1]) == rec.index
+            assert float(row[2]) == rec.z
+            assert float(row[3]) == rec.lam
+            assert float(row[6]) == rec.residual
+            assert float(row[7]) == rec.error_bound
 
 
 class TestEigfunCommand:
@@ -315,6 +348,17 @@ class TestRatesAndAudit:
         doc = json.loads(capsysbinary.readouterr().out.decode("utf-8"))
         assert doc["index"] == 1
         assert len(doc["sup_gaps"]) == 2
+
+    def test_converged_index_writes_an_empty_fit(self):
+        # a huge tolerance reclassifies every gap as converged noise, so no slope is fitted
+        half = WeightVector.of(Fraction(1, 2))
+        report = eigenvalue_rate_experiment(half, [2, 3, 4], "neumann", 1, tol=1e-2)
+        assert report.status_per_m == (STATUS_CONVERGED,)
+        rows = parse_csv_bytes(_csv_bytes(_report_rows(report)))
+        fit = rows[0].index("fitted_rate")
+        assert [row[fit] for row in rows[1:]] == ["", ""]
+        doc = json.loads(_json_bytes(_report_output(report)[1]))
+        assert doc["fitted_rate_per_m"] == [None]
 
     def test_audit_reports_no_violations(self, capsysbinary):
         rc = main(["audit", "--w", "0.3333", "--levels", "1:3", "--format", "json"])

@@ -22,7 +22,7 @@ from kreinfeller.cli import (
     FUNCTION_RATE_CSV_HEADER,
     RATE_CSV_HEADER,
     _json_bytes,
-    _report_doc,
+    _report_output,
     _report_rows,
 )
 from kreinfeller.convergence import (
@@ -49,7 +49,7 @@ THIRD = WeightVector.of(F(1, 3), F(2, 3))
 
 def to_json(report) -> bytes:
     """The JSON bytes ``rates`` and ``audit`` print for a report."""
-    return _json_bytes(_report_doc(report))
+    return _json_bytes(_report_output(report)[1])
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,6 @@ from kreinfeller.measures import CantorLevel, Measure, WeightVector, cantor_appr
 from kreinfeller.propagation import boundary_values
 from kreinfeller.series import build_table, null_sum_plain, null_sum_weighted
 from kreinfeller.spectrum import (
-    CSV_HEADER,
     _q2_at_one,
     count_zeros,
     eigenfunction,
@@ -30,7 +29,6 @@ from kreinfeller.spectrum import (
     eigenfunction_l2_norm,
     fem_oracle,
     find_eigenvalues,
-    records_to_rows,
 )
 
 LEBESGUE = Measure(breakpoints=(F(0), F(1)), densities=(F(1),))
@@ -470,21 +468,6 @@ class TestErrorPaths:
         ef = eigenfunction(mu, fake)
         with pytest.raises(PrecisionError):
             eigenfunction_l2_norm(ef)
-
-
-class TestCsvRows:
-    def test_rows_round_trip(self):
-        recs = find_eigenvalues(LEBESGUE, "neumann", 3)
-        rows = records_to_rows(recs)
-        assert rows[0] == CSV_HEADER
-        assert len(rows) == 4
-        for row, rec in zip(rows[1:], recs):
-            assert row[0] == "neumann"
-            assert int(row[1]) == rec.index
-            assert float(row[2]) == rec.z
-            assert float(row[3]) == rec.lam
-            assert float(row[6]) == rec.residual
-            assert float(row[7]) == rec.error_bound
 
 
 @settings(max_examples=12, deadline=None)
