@@ -17,9 +17,9 @@ import argparse
 import sys
 from fractions import Fraction
 
-from kreinfeller.cli import parse_levels, parse_weight, write_report_csv
+from kreinfeller.cli import exit_code, parse_levels, parse_weight, write_report_csv
 from kreinfeller.convergence import bound_audit
-from kreinfeller.errors import ConfigError
+from kreinfeller.errors import ToolkitError
 from kreinfeller.measures import WeightVector
 
 
@@ -31,11 +31,11 @@ def main(argv=None) -> int:
                     help="inclusive level range a:b or comma list (default 1:6)")
     ap.add_argument("--order", type=int, default=12, help="coefficient table order (default 12)")
     ap.add_argument("--out", default=None, help="write all rows for the last weight pair as CSV")
-    # a rejected value exits 2 with one line on stderr, as the CLI does
+    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does
     try:
         return run(ap.parse_args(argv))
-    except ConfigError as exc:
-        ap.exit(2, f"{ap.prog}: error: {exc}\n")
+    except ToolkitError as exc:
+        ap.exit(exit_code(exc), f"{ap.prog}: error: {exc}\n")
 
 
 def run(args) -> int:

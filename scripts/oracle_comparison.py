@@ -16,8 +16,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from kreinfeller.cli import parse_levels, parse_weight
-from kreinfeller.errors import ConfigError
+from kreinfeller.cli import exit_code, parse_levels, parse_weight
+from kreinfeller.errors import ToolkitError
 from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
 from kreinfeller.spectrum import fem_oracle, find_eigenvalues, record_count, relative_gap
 
@@ -31,11 +31,11 @@ def main(argv=None) -> int:
     ap.add_argument("--m-max", type=int, default=6, help="largest eigenvalue index (default 6)")
     ap.add_argument("--mesh-powers", type=parse_levels, default="4,5,6",
                     help="comma list k for meshes h=3^-k (default 4,5,6)")
-    # a rejected value exits 2 with one line on stderr, as the CLI does
+    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does
     try:
         return run(ap.parse_args(argv))
-    except ConfigError as exc:
-        ap.exit(2, f"{ap.prog}: error: {exc}\n")
+    except ToolkitError as exc:
+        ap.exit(exit_code(exc), f"{ap.prog}: error: {exc}\n")
 
 
 def run(args) -> int:

@@ -20,12 +20,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from kreinfeller.cli import parse_levels, parse_weight, write_report_csv
+from kreinfeller.cli import exit_code, parse_levels, parse_weight, write_report_csv
 from kreinfeller.convergence import (
     eigenfunction_rate_experiment,
     eigenvalue_rate_experiment,
 )
-from kreinfeller.errors import ConfigError
+from kreinfeller.errors import ToolkitError
 from kreinfeller.measures import WeightVector
 
 SETTLED_DELTA = 0.05
@@ -49,11 +49,11 @@ def main(argv=None) -> int:
                     help="inclusive level range a:b or comma list (default 5:9)")
     ap.add_argument("--m-max", type=int, default=3, help="largest eigenvalue index tracked (default 3)")
     ap.add_argument("--out-dir", default=None, help="directory for CSV reports (default: print only)")
-    # a rejected value exits 2 with one line on stderr, as the CLI does
+    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does
     try:
         return run(ap.parse_args(argv))
-    except ConfigError as exc:
-        ap.exit(2, f"{ap.prog}: error: {exc}\n")
+    except ToolkitError as exc:
+        ap.exit(exit_code(exc), f"{ap.prog}: error: {exc}\n")
 
 
 def run(args) -> int:

@@ -31,10 +31,13 @@ Design constraints honored here:
 * Errors exit nonzero with a one-line machine-readable JSON description
   on stderr: 2 for configuration/domain problems, 3 for precision or
   consistency failures, 4 for resource caps.
-* Thread pinning: --threads (or the KREINFELLER_THREADS environment
-  variable) sets the BLAS/OpenMP thread-count variables *before* numpy
-  is imported, which is why every heavy import below is deferred into
-  the handlers.
+* Thread pinning: ``main`` parses and checks the command line first, then
+  sets the BLAS/OpenMP thread-count variables the user has not set from
+  --threads (or the KREINFELLER_THREADS environment variable) *before*
+  numpy is imported.  Parsing can come first because it imports no numpy:
+  every heavy import below is deferred into the handlers.
+* One statement per option: ``RunConfig`` states every default and check;
+  the parser takes the defaults from its fields, and help prints them.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ RATE_KINDS = ("eigenvalue", "eigenfunction")
 
 TOL_MIN = 1e-14
 TOL_MAX = 1e-4
-DEFAULT_LEVEL_CAP = 10
 DEFAULT_ORDER = 12
 
 _THREAD_ENV_VARS = (
@@ -144,7 +146,7 @@ class RunConfig:
     scan_ceiling: float = 500.0
     mesh_power: int = 5
     rate_kind: str = "eigenvalue"
-    level_cap: int = DEFAULT_LEVEL_CAP
+    level_cap: int = 10
     out_path: str | None = None
     format: str = "csv"
     threads: int | None = None
@@ -193,6 +195,9 @@ class RunConfig:
 # argument parsing
 
 
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises :class:`ConfigError` for a rejected command line, so ``main``
     reports it as the one-line JSON error with exit code 2.  Subparsers
@@ -202,80 +207,79 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """An argparse parent parser declaring one option, whose default is
+    ``RunConfig``'s unless ``kwargs`` gives one."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.set_defaults(**_DEFAULTS)  # add_argument takes unset defaults from here
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="kreinfeller",
         description="Eigenvalues of the measure-second-derivative operator on [0,1].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [
+        _option("--w", dest="weight", type=parse_weight, metavar="W", help="first branch weight, decimal or fraction; the second is 1-W"),
+        _option("--level-cap", type=int, help="maximum refinement level accepted"),
+        _option("--tol", type=float, help="root-finding tolerance"),
+        _option("--out", dest="out_path", metavar="PATH", help="output file; stdout when absent"),
+        _option("--format", choices=FORMATS, help="output format"),
+        _option("--threads", type=int, help=f"pin BLAS/OpenMP thread count before numpy loads; {THREADS_ENV} when absent"),
+    ]
+    level = _option("--level", type=int, help="refinement level")
+    levels = _option("--levels", type=parse_levels, default="1:3", metavar="A:B", help="refinement levels, inclusive range a:b or comma list")
+    boundary = _option("--boundary", choices=BOUNDARIES, help="boundary condition")
+    scan_ceiling = _option("--scan-ceiling", type=float, help="abort the root scan past this frequency")
 
-    def common(p: argparse.ArgumentParser, *, levels: bool = False) -> None:
-        p.add_argument(
-            "--w",
-            dest="weight",
-            type=parse_weight,
-            default="0.5",
-            metavar="W",
-            help="first branch weight, decimal or fraction (default 0.5); the second is 1-W",
+    def m_max(**kwargs) -> argparse.ArgumentParser:
+        # a function, not one shared parent, because rates has its own default
+        return _option("--m-max", type=int, help="largest eigenvalue index", **kwargs)
+
+    def command(name: str, help: str, *shared: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return sub.add_parser(
+            name, help=help, parents=[*common, *shared], formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
-        if levels:
-            p.add_argument(
-                "--levels",
-                type=parse_levels,
-                default="1:3",
-                metavar="A:B",
-                help="refinement levels, inclusive range a:b or comma list (default 1:3)",
-            )
-        else:
-            p.add_argument("--level", type=int, default=0, help="refinement level (default 0)")
-        p.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP, help="maximum refinement level accepted (default %(default)s)")
-        p.add_argument("--tol", type=float, default=1e-12, help="root-finding tolerance (default %(default)s)")
-        p.add_argument("--out", dest="out_path", default=None, metavar="PATH", help="output file (default: stdout)")
-        p.add_argument("--format", choices=FORMATS, default="csv", help="output format (default csv)")
-        p.add_argument("--threads", type=int, default=None, help="pin BLAS/OpenMP thread count before numpy loads")
 
-    p_eig = sub.add_parser("eigvals", help="eigenvalue table for one measure")
-    common(p_eig)
-    p_eig.add_argument("--boundary", choices=BOUNDARIES, default="neumann", help="boundary condition (default neumann)")
-    p_eig.add_argument("--m-max", type=int, default=4, help="largest eigenvalue index reported (default 4)")
-    p_eig.add_argument("--scan-ceiling", type=float, default=500.0, help="abort the root scan past this frequency (default 500)")
+    command("eigvals", "eigenvalue table for one measure", level, boundary, m_max(), scan_ceiling)
 
-    p_fun = sub.add_parser("eigfun", help="eigenfunction samples on a measure-adapted grid")
-    common(p_fun)
-    p_fun.add_argument("--boundary", choices=BOUNDARIES, default="neumann", help="boundary condition (default neumann)")
-    p_fun.add_argument("--m", dest="m_list", type=_parse_m_list, default="1", metavar="M[,M..]", help="eigenvalue indices to sample, comma separated (default 1)")
-    p_fun.add_argument("--x-points", type=int, default=16, help="uniform samples per density interval (default 16)")
-    p_fun.add_argument("--normalized", action="store_true", help="scale each eigenfunction to unit L2(measure) norm")
-    p_fun.add_argument("--scan-ceiling", type=float, default=500.0, help="abort the root scan past this frequency (default 500)")
+    p = command("eigfun", "eigenfunction samples on a measure-adapted grid", level, boundary, scan_ceiling)
+    p.add_argument("--m", dest="m_list", type=_parse_m_list, metavar="M[,M..]", help="eigenvalue indices to sample, comma separated")
+    p.add_argument("--x-points", type=int, help="uniform samples per density interval")
+    p.add_argument("--normalized", action="store_true", help="scale each eigenfunction to unit L2(measure) norm")
 
-    p_sin = sub.add_parser("sincurve", help="boundary-value curves z -> sp(z), sq(z)")
-    common(p_sin)
-    p_sin.add_argument("--z-max", type=float, default=12.0, help="right end of the frequency range (default 12)")
-    p_sin.add_argument("--z-points", type=int, default=601, help="number of samples on [0, z-max] (default 601)")
+    p = command("sincurve", "boundary-value curves z -> sp(z), sq(z)", level)
+    p.add_argument("--z-max", type=float, help="right end of the frequency range")
+    p.add_argument("--z-points", type=int, help="number of samples on [0, z-max]")
 
-    p_rates = sub.add_parser("rates", help="convergence-rate report across refinement levels")
-    common(p_rates, levels=True)
-    p_rates.add_argument("--boundary", choices=BOUNDARIES, default="neumann", help="boundary condition (default neumann)")
-    p_rates.add_argument("--kind", dest="rate_kind", choices=RATE_KINDS, default="eigenvalue", help="track eigenvalues or one eigenfunction (default eigenvalue)")
-    p_rates.add_argument("--m-max", type=int, default=3, help="largest eigenvalue index tracked (default 3)")
-    p_rates.add_argument("--m", dest="m_index", type=int, default=1, metavar="M", help="eigenfunction index for --kind eigenfunction (default 1)")
+    p = command("rates", "convergence-rate report across refinement levels", levels, boundary, m_max(default=3))
+    p.add_argument("--kind", dest="rate_kind", choices=RATE_KINDS, help="track eigenvalues or one eigenfunction")
+    p.add_argument("--m", dest="m_index", type=int, metavar="M", help="eigenfunction index for --kind eigenfunction")
 
-    p_audit = sub.add_parser("audit", help="audit proven bounds on a family of approximants")
-    common(p_audit, levels=True)
-    p_audit.add_argument("--order", type=_parse_order, default=DEFAULT_ORDER, help="coefficient table order, integer or 'auto' for the default (default %(default)s)")
+    p = command("audit", "audit proven bounds on a family of approximants", levels)
+    p.add_argument("--order", type=_parse_order, help="coefficient table order, integer or 'auto' for the default")
 
-    p_cmp = sub.add_parser("oracle-compare", help="spectral solver vs. finite-element oracle")
-    common(p_cmp)
-    p_cmp.add_argument("--boundary", choices=BOUNDARIES, default="neumann", help="boundary condition (default neumann)")
-    p_cmp.add_argument("--m-max", type=int, default=4, help="largest eigenvalue index compared (default 4)")
-    p_cmp.add_argument("--mesh-power", type=int, default=5, help="finite-element mesh size 3^-k (default k=5)")
-    p_cmp.add_argument("--scan-ceiling", type=float, default=500.0, help="abort the root scan past this frequency (default 500)")
+    p = command("oracle-compare", "spectral solver vs. finite-element oracle", level, boundary, m_max(), scan_ceiling)
+    p.add_argument("--mesh-power", type=int, help="finite-element mesh size 3^-k")
 
     return parser
 
 
 def config_from_argv(argv: list[str]) -> RunConfig:
-    return RunConfig(**vars(_build_parser().parse_args(argv)))
+    """Parse a command line into a checked ``RunConfig``.  Without
+    ``--threads`` the thread count comes from the environment variable
+    ``KREINFELLER_THREADS``, and ``RunConfig`` checks it like the flag."""
+    args = vars(_build_parser().parse_args(argv))
+    text = os.environ.get(THREADS_ENV)
+    if args["threads"] is None and text is not None:
+        try:
+            args["threads"] = int(text)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
+    return RunConfig(**args)
 
 
 # --------------------------------------------------------------------------
@@ -535,7 +539,9 @@ def run(cfg: RunConfig) -> None:
     _emit(payload, cfg.out_path)
 
 
-def _exit_code(exc: ToolkitError) -> int:
+def exit_code(exc: Exception) -> int:
+    """The exit code of a failure: 4 for a resource cap, 3 for a precision or
+    consistency failure, 2 for anything else (configuration, domain, I/O)."""
     if isinstance(exc, ResourceError):
         return 4
     if isinstance(exc, PrecisionError):
@@ -543,39 +549,24 @@ def _exit_code(exc: ToolkitError) -> int:
     return 2
 
 
-def _pin_threads(argv: list[str]) -> None:
-    """Set thread-count env vars before any numpy import.
-
-    Scans raw argv (parsing happens later) and falls back to the
-    KREINFELLER_THREADS environment variable.
-    """
-    value: str | None = os.environ.get(THREADS_ENV)
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value is None:
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ.setdefault(var, value)
+def _pin_threads(threads: int | None) -> None:
+    """Set the thread-count variables to ``threads`` before numpy loads,
+    keeping any the user has already set."""
+    if threads is not None:
+        for var in _THREAD_ENV_VARS:
+            os.environ.setdefault(var, str(threads))
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _pin_threads(argv)
     try:
-        cfg = config_from_argv(argv)
+        cfg = config_from_argv(sys.argv[1:] if argv is None else argv)
+        _pin_threads(cfg.threads)
         run(cfg)
-    except ToolkitError as exc:
-        code = _exit_code(exc)
-        err = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-        print(json.dumps(err), file=sys.stderr)
+    except (ToolkitError, OSError) as exc:
+        code = exit_code(exc)
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc), "exit_code": code}), file=sys.stderr)
         return code
-    except OSError as exc:
-        err = {"error": "OSError", "message": str(exc), "exit_code": 2}
-        print(json.dumps(err), file=sys.stderr)
-        return 2
     return 0
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kreinfeller.cli import (
+    COMMANDS,
     EIGVALS_CSV_HEADER,
     RunConfig,
     parse_levels,
@@ -75,6 +77,23 @@ class TestConfigParsing:
         assert cfg.boundary == "neumann"
         assert cfg.format == "csv"
         assert cfg.order == 12
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parser_defaults_are_runconfig_defaults(self, command, monkeypatch):
+        # only rates and audit replace RunConfig's defaults
+        monkeypatch.delenv("KREINFELLER_THREADS", raising=False)
+        replaced = {"rates": {"m_max": 3, "levels": (1, 2, 3)}, "audit": {"levels": (1, 2, 3)}}
+        expected = RunConfig(command=command, **replaced.get(command, {}))
+        assert config_from_argv([command]) == expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_shows_every_default(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            config_from_argv([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        usage = out.split("\n\n", 1)[0]
+        assert out.count("(default:") == usage.count("[--") > 0
 
     def test_order_integer(self):
         cfg = config_from_argv(["audit", "--order", "24"])
@@ -155,31 +174,68 @@ class TestConfigParsing:
             RunConfig(command="eigvals", format="xml")
 
 
-class TestThreadPinning:
-    def test_threads_flag_sets_env(self, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.delenv("KREINFELLER_THREADS", raising=False)
-        _pin_threads(["eigvals", "--threads", "3"])
-        import os
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
+
+@pytest.fixture
+def unpinned(monkeypatch):
+    """No thread variable and no KREINFELLER_THREADS; whatever a test pins is
+    undone afterwards (setenv first, so monkeypatch records the prior state)."""
+    for var in (*THREAD_VARS, "KREINFELLER_THREADS"):
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
+    return monkeypatch
+
+
+class TestThreadPinning:
+    def test_threads_flag_sets_env(self, unpinned):
+        _pin_threads(config_from_argv(["eigvals", "--threads", "3"]).threads)
         assert os.environ["OMP_NUM_THREADS"] == "3"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
-    def test_env_variable_fallback(self, monkeypatch):
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.setenv("KREINFELLER_THREADS", "2")
-        _pin_threads(["eigvals"])
-        import os
-
+    def test_env_variable_fallback(self, unpinned):
+        unpinned.setenv("KREINFELLER_THREADS", "2")
+        cfg = config_from_argv(["eigvals"])
+        assert cfg.threads == 2
+        _pin_threads(cfg.threads)
         assert os.environ["OMP_NUM_THREADS"] == "2"
 
-    def test_explicit_setting_not_clobbered(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "8")
-        _pin_threads(["eigvals", "--threads=2"])
-        import os
-
+    def test_explicit_setting_not_clobbered(self, unpinned):
+        unpinned.setenv("OMP_NUM_THREADS", "8")
+        _pin_threads(config_from_argv(["eigvals", "--threads=2"]).threads)
         assert os.environ["OMP_NUM_THREADS"] == "8"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    @pytest.mark.parametrize("env", ["2", "abc", "0"])
+    def test_flag_wins_over_env_variable(self, unpinned, env):
+        unpinned.setenv("KREINFELLER_THREADS", env)
+        assert config_from_argv(["eigvals", "--threads", "3"]).threads == 3
+
+    def test_rejected_flag_pins_nothing(self, unpinned, capsys):
+        # the count is checked before it is pinned
+        assert main(["eigvals", "--threads", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigError"
+        assert not any(var in os.environ for var in THREAD_VARS)
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-1", "2.5"])
+    def test_rejected_env_variable_is_a_config_error(self, unpinned, env, capsys):
+        unpinned.setenv("KREINFELLER_THREADS", env)
+        assert main(["eigvals"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigError"
+        assert not any(var in os.environ for var in THREAD_VARS)
+
+    def test_parsing_imports_no_numpy(self):
+        # why main may parse before it pins: numpy reads the variables on import
+        code = (
+            "import sys; from kreinfeller.cli import config_from_argv; "
+            "config_from_argv(['oracle-compare', '--threads', '2']); "
+            "assert 'numpy' not in sys.modules"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestEigvalsCommand:

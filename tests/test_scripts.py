@@ -78,6 +78,23 @@ def test_bad_mesh_powers_exit_two_with_one_line(capsys):
     assert len(err) == 1 and "error:" in err[0]
 
 
+# level 0 keeps the scan short: it stops at the default ceiling with fewer
+# roots than asked for, a BracketError the CLI reports with exit code 3
+BEYOND_CEILING = {
+    "oracle_comparison": ["--w", "1/3", "--levels", "0", "--mesh-powers", "4", "--m-max", "200"],
+    "rate_experiments": ["--w", "1/3", "--levels", "0:2", "--m-max", "200"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_CEILING))
+def test_m_max_beyond_the_scan_ceiling_exits_three(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(BEYOND_CEILING[name])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error: scan ceiling 500 reached" in err[0]
+
+
 # the scripts write their reports through the CLI's CSV writer, so their files
 # equal the CLI goldens byte for byte
 GOLDEN = Path(__file__).parent / "golden"
