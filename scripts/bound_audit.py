@@ -13,29 +13,30 @@ Usage:
     python3 scripts/bound_audit.py --w 0.25 --levels 1:6 --out audit.csv
 """
 
-import argparse
 import sys
 from fractions import Fraction
 
-from kreinfeller.cli import exit_code, parse_levels, parse_weight, write_report_csv
+from kreinfeller.cli import ArgumentParser, exit_code, parse_levels, parse_weight, write_report_csv
 from kreinfeller.convergence import bound_audit
 from kreinfeller.errors import ToolkitError
 from kreinfeller.measures import WeightVector
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--w", action="append", type=parse_weight, default=None, metavar="W",
                     help="first branch weight; repeatable (default: 0.5, 1/3, 0.25)")
     ap.add_argument("--levels", type=parse_levels, default="1:6",
                     help="inclusive level range a:b or comma list (default 1:6)")
     ap.add_argument("--order", type=int, default=12, help="coefficient table order (default 12)")
     ap.add_argument("--out", default=None, help="write all rows for the last weight pair as CSV")
-    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does
+    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does; a
+    # rejected command line raises ConfigError whose message names the script
     try:
         return run(ap.parse_args(argv))
     except ToolkitError as exc:
-        ap.exit(exit_code(exc), f"{ap.prog}: error: {exc}\n")
+        message = str(exc).removeprefix(f"{ap.prog}: ")
+        ap.exit(exit_code(exc), f"{ap.prog}: error: {message}\n")
 
 
 def run(args) -> int:

@@ -12,18 +12,17 @@ Usage:
     python3 scripts/oracle_comparison.py --w 1/3 --levels 1:4 --m-max 6 --mesh-powers 4,5,6
 """
 
-import argparse
 import sys
 from fractions import Fraction
 
-from kreinfeller.cli import exit_code, parse_levels, parse_weight
+from kreinfeller.cli import ArgumentParser, exit_code, parse_levels, parse_weight
 from kreinfeller.errors import ToolkitError
 from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
 from kreinfeller.spectrum import fem_oracle, find_eigenvalues, record_count, relative_gap
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--w", action="append", type=parse_weight, default=None, metavar="W",
                     help="first branch weight; repeatable (default: 0.5, 1/3, 0.25)")
     ap.add_argument("--levels", type=parse_levels, default="1:4",
@@ -31,11 +30,13 @@ def main(argv=None) -> int:
     ap.add_argument("--m-max", type=int, default=6, help="largest eigenvalue index (default 6)")
     ap.add_argument("--mesh-powers", type=parse_levels, default="4,5,6",
                     help="comma list k for meshes h=3^-k (default 4,5,6)")
-    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does
+    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does; a
+    # rejected command line raises ConfigError whose message names the script
     try:
         return run(ap.parse_args(argv))
     except ToolkitError as exc:
-        ap.exit(exit_code(exc), f"{ap.prog}: error: {exc}\n")
+        message = str(exc).removeprefix(f"{ap.prog}: ")
+        ap.exit(exit_code(exc), f"{ap.prog}: error: {message}\n")
 
 
 def run(args) -> int:

@@ -14,13 +14,12 @@ Usage:
     python3 scripts/rate_experiments.py --w 0.5 --w 1/3 --levels 5:9 --out-dir results/
 """
 
-import argparse
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from kreinfeller.cli import exit_code, parse_levels, parse_weight, write_report_csv
+from kreinfeller.cli import ArgumentParser, exit_code, parse_levels, parse_weight, write_report_csv
 from kreinfeller.convergence import (
     eigenfunction_rate_experiment,
     eigenvalue_rate_experiment,
@@ -42,18 +41,20 @@ def describe_fit(slope, delta) -> str:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--w", action="append", type=parse_weight, default=None, metavar="W",
                     help="first branch weight; repeatable (default: 0.5 and 1/3)")
     ap.add_argument("--levels", type=parse_levels, default="5:9",
                     help="inclusive level range a:b or comma list (default 5:9)")
     ap.add_argument("--m-max", type=int, default=3, help="largest eigenvalue index tracked (default 3)")
     ap.add_argument("--out-dir", default=None, help="directory for CSV reports (default: print only)")
-    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does
+    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does; a
+    # rejected command line raises ConfigError whose message names the script
     try:
         return run(ap.parse_args(argv))
     except ToolkitError as exc:
-        ap.exit(exit_code(exc), f"{ap.prog}: error: {exc}\n")
+        message = str(exc).removeprefix(f"{ap.prog}: ")
+        ap.exit(exit_code(exc), f"{ap.prog}: error: {message}\n")
 
 
 def run(args) -> int:

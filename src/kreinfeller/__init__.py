@@ -19,7 +19,6 @@ _EXPORTS = {
     "Measure": ".measures",
     "CantorLevel": ".measures",
     "cantor_approximant": ".measures",
-    "cdf_sup_distance": ".measures",
     "cdf_sup_distance_exact": ".measures",
     "verify_refinement_identity": ".measures",
     # polynomial layer
@@ -60,7 +59,6 @@ _EXPORTS = {
     "ConfigError": ".errors",
     "ResourceError": ".errors",
     "PrecisionError": ".errors",
-    "OrderError": ".errors",
     "BracketError": ".errors",
     "InconsistencyError": ".errors",
 }

@@ -198,10 +198,11 @@ class RunConfig:
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
 
-class _ArgumentParser(argparse.ArgumentParser):
+class ArgumentParser(argparse.ArgumentParser):
     """Raises :class:`ConfigError` for a rejected command line, so ``main``
     reports it as the one-line JSON error with exit code 2.  Subparsers
-    inherit the class."""
+    inherit the class; the scripts under ``scripts/`` build their parsers
+    from it too."""
 
     def error(self, message: str):
         raise ConfigError(f"{self.prog}: {message}")
@@ -217,7 +218,7 @@ def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    parser = ArgumentParser(
         prog="kreinfeller",
         description="Eigenvalues of the measure-second-derivative operator on [0,1].",
     )

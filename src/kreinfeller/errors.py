@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the toolkit.
 
-Four failure classes map onto the CLI exit codes: bad input (2),
-precision/convergence trouble (3), and resource caps (4).  Everything
-derives from ToolkitError so library users can catch broadly.
+Four failure classes map onto the CLI exit codes: bad input
+(DomainError, ConfigError: 2), precision/convergence trouble
+(PrecisionError and its BracketError and InconsistencyError: 3), and
+resource caps (ResourceError: 4).  Everything derives from ToolkitError
+so library users can catch broadly.
 """
 
 
@@ -24,17 +26,6 @@ class ResourceError(ToolkitError):
 
 class PrecisionError(ToolkitError):
     """Requested accuracy is not certifiable with the current settings."""
-
-
-class OrderError(PrecisionError):
-    """Series truncation order too low for the requested evaluation.
-
-    Carries the minimal sufficient order so callers can retry.
-    """
-
-    def __init__(self, message: str, min_order: int):
-        super().__init__(message)
-        self.min_order = min_order
 
 
 class BracketError(PrecisionError):

@@ -11,7 +11,6 @@ here can be kept exact in rational arithmetic.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +23,7 @@ from .errors import DomainError, ResourceError
 Rat = Union[int, float, str, Fraction]
 
 MASS_TOL = 1e-12
-DEFAULT_PIECE_CAP = 200_000
+PIECE_CAP = 200_000
 
 
 def _frac(x: Rat) -> Fraction:
@@ -37,14 +36,12 @@ def _frac(x: Rat) -> Fraction:
 class WeightVector:
     """Two branch weights with w1 + w2 = 1 exactly and w1 <= w2.
 
-    Construction canonicalizes the order (the construction is symmetric
-    under reflecting [0,1], so the spectrum does not depend on it) and
-    records whether a swap happened.
+    Construction canonicalizes the order: the construction is symmetric
+    under reflecting [0,1], so the spectrum does not depend on it.
     """
 
     w1: Fraction
     w2: Fraction
-    swapped: bool = False
 
     def __post_init__(self):
         if not (0 < self.w1 < 1 and 0 < self.w2 < 1):
@@ -60,9 +57,7 @@ class WeightVector:
         b = _frac(second) if second is not None else 1 - a
         if a + b != 1:
             raise DomainError(f"weights {a} + {b} != 1 exactly")
-        if a <= b:
-            return cls(a, b, swapped=False)
-        return cls(b, a, swapped=True)
+        return cls(min(a, b), max(a, b))
 
     def as_floats(self) -> tuple[float, float]:
         return float(self.w1), float(self.w2)
@@ -134,10 +129,6 @@ class Measure:
     def piece_count(self) -> int:
         return len(self.densities)
 
-    def support_pieces(self) -> list[int]:
-        """Indices of pieces with strictly positive density."""
-        return [i for i, d in enumerate(self.densities) if d > 0]
-
     def cdf_exact(self, t: Rat) -> Fraction:
         tt = _frac(t)
         if tt < 0 or tt > 1:
@@ -146,21 +137,18 @@ class Measure:
         i = min(i, len(self.densities) - 1)
         return self._cdf_at_bp[i] + self.densities[i] * (tt - self.breakpoints[i])
 
-    def cdf(self, t: float) -> float:
-        if isinstance(t, Fraction):
-            return float(self.cdf_exact(t))
-        if not (0.0 <= t <= 1.0):
-            raise DomainError(f"cdf argument {t} outside [0,1]")
-        i = int(np.searchsorted(self._bp, t, side="right")) - 1
-        i = min(i, len(self.densities) - 1)
-        return self._cdf_float[i] + float(self._dens[i]) * (t - self._bp[i])
+    def cdf(self, ts: np.ndarray) -> np.ndarray:
+        """Float CDF at every point of ``ts``, each in [0,1].
 
-    def cdf_many(self, ts: np.ndarray) -> np.ndarray:
+        Every breakpoint, 1 included, gets the float of its exact value.
+        """
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+        if not np.all((ts >= 0.0) & (ts <= 1.0)):
             raise DomainError("cdf arguments outside [0,1]")
-        idx = np.clip(np.searchsorted(self._bp, ts, side="right") - 1, 0, len(self.densities) - 1)
-        return self._cdf_float[idx] + self._dens[idx] * (ts - self._bp[idx])
+        i = np.searchsorted(self._bp, ts, side="right") - 1
+        idx = np.minimum(i, self.piece_count - 1)
+        inside = self._cdf_float[idx] + self._dens[idx] * (ts - self._bp[idx])
+        return np.where(i == self.piece_count, self._cdf_float[-1], inside)
 
     def sample_grid(self, per_piece: int | Sequence[int]) -> np.ndarray:
         """Every breakpoint plus ``n - 1`` uniform interior points per piece.
@@ -178,20 +166,6 @@ class Measure:
         lo = self._bp[piece]
         return np.append(lo + (self._bp[piece + 1] - lo) * k / n[piece], self._bp[-1])
 
-    # -- serialization --------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "breakpoints": [float(t) for t in self.breakpoints],
-            "densities": [float(d) for d in self.densities],
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Measure":
-        doc = json.loads(text)
-        return cls.from_pieces(doc["breakpoints"], doc["densities"])
-
 
 @dataclass(frozen=True)
 class CantorLevel:
@@ -205,7 +179,7 @@ class CantorLevel:
             raise DomainError(f"level must be a nonnegative integer, got {self.level}")
 
 
-def cantor_approximant(spec: CantorLevel, piece_cap: int = DEFAULT_PIECE_CAP) -> Measure:
+def cantor_approximant(spec: CantorLevel) -> Measure:
     """Level-n approximant of the weighted-Cantor measure.
 
     Mass sits on the 2^n surviving ternary intervals of length 3^-n;
@@ -214,8 +188,8 @@ def cantor_approximant(spec: CantorLevel, piece_cap: int = DEFAULT_PIECE_CAP) ->
     density so the breakpoint grid is exactly the level-n construction.
     """
     n = spec.level
-    if n > 60 or (3 * 2**n) > piece_cap:
-        raise ResourceError(f"level {n} needs ~{3 * 2**n if n <= 60 else '2^n'} pieces, cap is {piece_cap}")
+    if n > 60 or (3 * 2**n) > PIECE_CAP:
+        raise ResourceError(f"level {n} needs ~{3 * 2**n if n <= 60 else '2^n'} pieces, cap is {PIECE_CAP}")
     w1, w2 = spec.weights.w1, spec.weights.w2
     length = Fraction(1, 3**n)
     # (left endpoint, weight product), kept in ascending order
@@ -252,10 +226,6 @@ def cdf_sup_distance_exact(a: Measure, b: Measure) -> Fraction:
     return max(abs(a.cdf_exact(t) - b.cdf_exact(t)) for t in merged)
 
 
-def cdf_sup_distance(a: Measure, b: Measure) -> float:
-    return float(cdf_sup_distance_exact(a, b))
-
-
 def verify_refinement_identity(spec: CantorLevel, samples: Sequence[float]) -> float:
     """Max defect of the one-step self-similarity of the CDFs.
 
@@ -270,16 +240,10 @@ def verify_refinement_identity(spec: CantorLevel, samples: Sequence[float]) -> f
     mu_prev = cantor_approximant(CantorLevel(spec.weights, spec.level - 1))
     w1, w2 = spec.weights.as_floats()
 
-    def clamped_cdf(m: Measure, s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        if s >= 1.0:
-            return 1.0
-        return m.cdf(s)
+    def clamped_cdf(m: Measure, s: np.ndarray) -> np.ndarray:
+        return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, m.cdf(np.clip(s, 0.0, 1.0))))
 
-    worst = 0.0
-    for y in samples:
-        lhs = clamped_cdf(mu_n, float(y))
-        rhs = w1 * clamped_cdf(mu_prev, 3.0 * float(y)) + w2 * clamped_cdf(mu_prev, 3.0 * float(y) - 2.0)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    y = np.asarray(samples, dtype=float)
+    lhs = clamped_cdf(mu_n, y)
+    rhs = w1 * clamped_cdf(mu_prev, 3.0 * y) + w2 * clamped_cdf(mu_prev, 3.0 * y - 2.0)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -29,8 +29,6 @@ import numpy as np
 from .errors import DomainError
 from .measures import Measure
 
-CONTINUITY_RTOL = 1e-13
-
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
@@ -62,9 +60,6 @@ class PiecewisePolynomial:
             worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
         return worst
 
-    def is_continuous(self, rtol: float = CONTINUITY_RTOL) -> bool:
-        return self.continuity_defect() <= rtol
-
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -73,23 +68,16 @@ class PiecewisePolynomial:
 
     # -- queries ----------------------------------------------------------
 
-    def eval(self, x: float) -> float:
-        if not (0.0 <= x <= 1.0):
-            raise DomainError(f"evaluation point {x} outside [0,1]")
-        bp = self.measure._bp
-        i = min(max(int(np.searchsorted(bp, x, side="right")) - 1, 0), len(self.pieces) - 1)
-        return _horner(self.pieces[i], x - bp[i])
-
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+        if not np.all((xs >= 0.0) & (xs <= 1.0)):
             raise DomainError("evaluation points outside [0,1]")
         bp = self.measure._bp
         idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.pieces) - 1)
         s = xs - bp[idx]
         # cols[j] holds coefficient j of every piece, 0.0 past a piece's
-        # degree; those steps keep acc at 0.0, so each value equals the
-        # scalar Horner loop bit for bit.
+        # degree; those steps keep acc at 0.0, so each value equals a
+        # per-piece Horner loop bit for bit.
         width = max(map(len, self.pieces))
         cols = np.array([c + (0.0,) * (width - len(c)) for c in self.pieces]).T
         acc = np.zeros_like(s)

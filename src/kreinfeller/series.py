@@ -28,8 +28,9 @@ propagation.boundary_values and eval_on_grid against.
 Every series value is one call of _alternating_sum: the terms
 (-1)^n * w * z**k * c are formed left to right and added with math.fsum,
 so the only float error is per-term representation noise.  Overflow rule:
-a term whose power z**k would exceed e^700 is taken as zero.  Certificates
-(_certify) cover truncation only, not such dropped terms.
+a term whose power z**k would exceed e^700 is taken as zero.  Every
+evaluator returns (value, tail bound); the bound covers truncation only,
+not such dropped terms.
 """
 
 from __future__ import annotations
@@ -37,21 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, OrderError
+import numpy as np
+
+from .errors import DomainError, PrecisionError
 from .measures import Measure
 from .polyalg import PiecewisePolynomial, integrate_dmu, integrate_dt
 
 TAIL_TARGET = 1e-15
 _LOG_HUGE = 700.0
-
-
-@dataclass(frozen=True)
-class TruncationCertificate:
-    """Certified bound on the dropped tail of a truncated series evaluation."""
-
-    z: float
-    order: int
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ def default_order(z_max: float) -> int:
     while (2 * n + 3) * lz - math.lgamma(n + 2) >= math.log(TAIL_TARGET):
         n += 1
         if n > 1_000_000:
-            raise OrderError("no feasible truncation order for this z range", n)
+            raise PrecisionError("no feasible truncation order for this z range")
     return n
 
 
@@ -153,26 +147,6 @@ def _factorial_tail(r: float, start: int, deriv_weight: int = 0) -> float:
             return math.inf
 
 
-def _certify(z: float, order: int, r: float, prefactor: float, deriv_weight: int,
-             tol: float | None) -> TruncationCertificate:
-    """Certificate for a truncation at `order`: prefactor * factorial tail in r.
-
-    Raises OrderError naming the minimal sufficient order when the tail
-    exceeds tol.
-    """
-    tail = prefactor * _factorial_tail(r, order + 1, deriv_weight)
-    if tol is not None and tail > tol:
-        n = order + 1
-        while n < order + 200_000:
-            if prefactor * _factorial_tail(r, n + 1, deriv_weight) <= tol:
-                raise OrderError(
-                    f"tail bound {tail:.3e} exceeds tolerance {tol:.3e} at order {order}; "
-                    f"increase order to {n}", n)
-            n += 1
-        raise OrderError(f"tolerance {tol:.3e} unreachable in float range for z={z}", n)
-    return TruncationCertificate(z, order, tail)
-
-
 def _alternating_sum(z: float, terms) -> float:
     """math.fsum of (-1)^n * w * z**k * c over (n, w, k, c) in ascending n.
 
@@ -193,32 +167,30 @@ def _alternating_sum(z: float, terms) -> float:
 # the four functions and their z-derivatives
 
 
-def _eval(table: TrigTable, z: float, odd: bool, one_vals, bound_base: float,
-          tol: float | None) -> tuple[float, TruncationCertificate]:
+def _eval(table: TrigTable, z: float, odd: bool, one_vals, bound_base: float) -> tuple[float, float]:
     N = table.order
-    cert = _certify(z, N, z * z * bound_base, abs(z) if odd else 1.0, 0, tol)
+    tail = (abs(z) if odd else 1.0) * _factorial_tail(z * z * bound_base, N + 1)
     terms = ((k // 2, 1, k, one_vals[k]) for k in range(odd, 2 * N + 2, 2))
-    return _alternating_sum(z, terms), cert
+    return _alternating_sum(z, terms), tail
 
 
-def sinp(table: TrigTable, z: float, tol: float | None = None):
-    return _eval(table, z, True, table.p_one, table.q2_at_one, tol)
+def sinp(table: TrigTable, z: float) -> tuple[float, float]:
+    return _eval(table, z, True, table.p_one, table.q2_at_one)
 
 
-def sinq(table: TrigTable, z: float, tol: float | None = None):
-    return _eval(table, z, True, table.q_one, table.p2_at_one, tol)
+def sinq(table: TrigTable, z: float) -> tuple[float, float]:
+    return _eval(table, z, True, table.q_one, table.p2_at_one)
 
 
-def cosp(table: TrigTable, z: float, tol: float | None = None):
-    return _eval(table, z, False, table.p_one, table.p2_at_one, tol)
+def cosp(table: TrigTable, z: float) -> tuple[float, float]:
+    return _eval(table, z, False, table.p_one, table.p2_at_one)
 
 
-def cosq(table: TrigTable, z: float, tol: float | None = None):
-    return _eval(table, z, False, table.q_one, table.q2_at_one, tol)
+def cosq(table: TrigTable, z: float) -> tuple[float, float]:
+    return _eval(table, z, False, table.q_one, table.q2_at_one)
 
 
-def _eval_prime(table: TrigTable, z: float, odd: bool, one_vals, bound_base: float,
-                tol: float | None) -> tuple[float, TruncationCertificate]:
+def _eval_prime(table: TrigTable, z: float, odd: bool, one_vals, bound_base: float) -> tuple[float, float]:
     """Termwise z-derivative of the truncated series.
 
     Odd family: sum (-1)^n (2n+1) z^(2n) coeff_{2n+1}; valid everywhere,
@@ -228,28 +200,28 @@ def _eval_prime(table: TrigTable, z: float, odd: bool, one_vals, bound_base: flo
     N = table.order
     r = z * z * bound_base
     if odd:
-        cert = _certify(z, N, r, 1.0, 1, tol)
+        tail = _factorial_tail(r, N + 1, 1)
         terms = ((n, 2 * n + 1, 2 * n, one_vals[2 * n + 1]) for n in range(N + 1))
     else:
-        cert = _certify(z, N, r, 1.0 / abs(z) if z else 1.0, 2, tol)
+        tail = (1.0 / abs(z) if z else 1.0) * _factorial_tail(r, N + 1, 2)
         terms = ((n, 2 * n, 2 * n - 1, one_vals[2 * n]) for n in range(1, N + 1))
-    return _alternating_sum(z, terms), cert
+    return _alternating_sum(z, terms), tail
 
 
-def sinp_prime(table: TrigTable, z: float, tol: float | None = None):
-    return _eval_prime(table, z, True, table.p_one, table.q2_at_one, tol)
+def sinp_prime(table: TrigTable, z: float) -> tuple[float, float]:
+    return _eval_prime(table, z, True, table.p_one, table.q2_at_one)
 
 
-def sinq_prime(table: TrigTable, z: float, tol: float | None = None):
-    return _eval_prime(table, z, True, table.q_one, table.p2_at_one, tol)
+def sinq_prime(table: TrigTable, z: float) -> tuple[float, float]:
+    return _eval_prime(table, z, True, table.q_one, table.p2_at_one)
 
 
-def cosp_prime(table: TrigTable, z: float, tol: float | None = None):
-    return _eval_prime(table, z, False, table.p_one, table.p2_at_one, tol)
+def cosp_prime(table: TrigTable, z: float) -> tuple[float, float]:
+    return _eval_prime(table, z, False, table.p_one, table.p2_at_one)
 
 
-def cosq_prime(table: TrigTable, z: float, tol: float | None = None):
-    return _eval_prime(table, z, False, table.q_one, table.q2_at_one, tol)
+def cosq_prime(table: TrigTable, z: float) -> tuple[float, float]:
+    return _eval_prime(table, z, False, table.q_one, table.q2_at_one)
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +229,23 @@ def cosq_prime(table: TrigTable, z: float, tol: float | None = None):
 
 
 def _eval_at_x(table: TrigTable, z: float, x: float, odd: bool, funs,
-               bound_fun: PiecewisePolynomial, tol: float | None):
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"evaluation point {x} outside [0,1]")
+               bound_fun: PiecewisePolynomial) -> tuple[float, float]:
     N = table.order
-    terms = ((k // 2, 1, k, funs[k].eval(x)) for k in range(odd, 2 * N + 2, 2))
+    xs = np.array([x])
+    terms = ((k // 2, 1, k, float(funs[k].eval_many(xs)[0])) for k in range(odd, 2 * N + 2, 2))
     value = _alternating_sum(z, terms)
-    cert = _certify(z, N, z * z * bound_fun.eval(x), abs(z) if odd else 1.0, 0, tol)
-    return value, cert
+    r = z * z * float(bound_fun.eval_many(xs)[0])
+    return value, (abs(z) if odd else 1.0) * _factorial_tail(r, N + 1)
 
 
-def cp_eval(table: TrigTable, z: float, x: float, tol: float | None = None):
+def cp_eval(table: TrigTable, z: float, x: float) -> tuple[float, float]:
     """cp_z(x): the Neumann eigenfunction series when z^2 is an eigenvalue."""
-    return _eval_at_x(table, z, x, False, table.p_fun, table.p_fun[2], tol)
+    return _eval_at_x(table, z, x, False, table.p_fun, table.p_fun[2])
 
 
-def sq_eval(table: TrigTable, z: float, x: float, tol: float | None = None):
+def sq_eval(table: TrigTable, z: float, x: float) -> tuple[float, float]:
     """sq_z(x): the Dirichlet eigenfunction series when z^2 is an eigenvalue."""
-    return _eval_at_x(table, z, x, True, table.q_fun, table.p_fun[2], tol)
+    return _eval_at_x(table, z, x, True, table.q_fun, table.p_fun[2])
 
 
 # ---------------------------------------------------------------------------

@@ -97,17 +97,6 @@ class Eigenfunction:
     measure: Measure
     record: EigenvalueRecord
 
-    @property
-    def boundary(self) -> str:
-        return self.record.boundary
-
-    @property
-    def index(self) -> int:
-        return self.record.index
-
-    def family(self) -> str:
-        return "cp" if self.record.boundary == NEUMANN else "sq"
-
 
 def _boundary_value_fn(mu: Measure, boundary: str) -> Callable[[float], tuple[float, float, float]]:
     """Return z -> (boundary value, rounding estimate, z-derivative of the value)."""
@@ -344,7 +333,8 @@ def eigenfunction_eval(
     the sign convention keeps the value (Neumann) or slope (Dirichlet) at x=0
     positive.
     """
-    vals = eval_on_grid(ef.measure, ef.record.z, xs, ef.family())
+    family = "cp" if ef.record.boundary == NEUMANN else "sq"
+    vals = eval_on_grid(ef.measure, ef.record.z, xs, family)
     if normalized:
         vals = vals / eigenfunction_l2_norm(ef)
     return vals

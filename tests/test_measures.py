@@ -13,7 +13,6 @@ from kreinfeller.measures import (
     Measure,
     WeightVector,
     cantor_approximant,
-    cdf_sup_distance,
     cdf_sup_distance_exact,
     verify_refinement_identity,
 )
@@ -28,12 +27,10 @@ class TestWeightVector:
     def test_exact_complement(self):
         w = WeightVector.of(0.3)
         assert w.w1 + w.w2 == 1
-        assert not w.swapped
 
     def test_canonical_swap_recorded(self):
         w = WeightVector.of(0.75)
         assert (w.w1, w.w2) == (Fraction(1, 4), Fraction(3, 4))
-        assert w.swapped
 
     @pytest.mark.parametrize("bad", [0, 1, -0.2, 1.5])
     def test_rejects_out_of_range(self, bad):
@@ -64,11 +61,11 @@ class TestCantorApproximant:
     def test_breakpoints_are_ternary_rationals(self):
         mu = cantor(THIRD, 4)
         assert all(t.denominator in (1, 3, 9, 27, 81) for t in mu.breakpoints)
-        assert len(mu.support_pieces()) == 2**4
+        assert sum(d > 0 for d in mu.densities) == 2**4
 
     def test_resource_cap(self):
         with pytest.raises(ResourceError):
-            cantor_approximant(CantorLevel(HALF, 10), piece_cap=100)
+            cantor_approximant(CantorLevel(HALF, 17))
 
     def test_negative_level_rejected(self):
         with pytest.raises(DomainError):
@@ -80,7 +77,7 @@ class TestCantorApproximant:
         mu = cantor_approximant(CantorLevel(w, n))
         mass = sum(d * (mu.breakpoints[i + 1] - mu.breakpoints[i]) for i, d in enumerate(mu.densities))
         assert mass == 1
-        assert len(mu.support_pieces()) == 2**n
+        assert sum(d > 0 for d in mu.densities) == 2**n
 
 
 class TestCdf:
@@ -106,20 +103,27 @@ class TestCdf:
         assert mu.cdf(0.0) == 0.0
         assert abs(mu.cdf(1.0) - 1.0) < 1e-12
         ts = np.linspace(0, 1, 37)
-        vals = mu.cdf_many(ts)
+        vals = mu.cdf(ts)
         assert np.all(np.diff(vals) >= -1e-15)
         assert 0.0 <= mu.cdf(t) <= 1.0 + 1e-12
 
-    def test_vectorized_matches_scalar(self):
-        mu = cantor(THIRD, 3)
-        ts = np.linspace(0, 1, 101)
-        np.testing.assert_allclose(mu.cdf_many(ts), [mu.cdf(t) for t in ts], rtol=0, atol=1e-15)
+    def test_one_float_evaluator(self):
+        for weights in (HALF, THIRD, WeightVector.of(Fraction(2, 5))):
+            mu = cantor(weights, 3)
+            # at every breakpoint, 0 and 1 included, it is the float of the exact value
+            bp = [float(t) for t in mu.breakpoints]
+            assert mu.cdf(bp).tolist() == [float(mu.cdf_exact(t)) for t in mu.breakpoints]
+            # monotone on a grid that mixes interior points and breakpoints
+            assert np.all(np.diff(mu.cdf(np.linspace(0, 1, 1001))) >= 0.0)
+            for outside in ([-0.1], [0.5, 1.5], -1e-300, [0.5, float("nan")]):
+                with pytest.raises(DomainError):
+                    mu.cdf(outside)
 
 
 class TestSupDistance:
     def test_identical_measures(self):
         mu = cantor(HALF, 2)
-        assert cdf_sup_distance(mu, mu) == 0.0
+        assert cdf_sup_distance_exact(mu, mu) == 0
 
     def test_level0_vs_level1_symmetric(self):
         # max gap sits at t = 1/3: F0 = 1/3 vs F1 = 1/2
@@ -195,14 +199,6 @@ class TestMeasureValidation:
     def test_must_cover_unit_interval(self):
         with pytest.raises(DomainError):
             Measure.from_pieces([0, Fraction(1, 2)], [2])
-
-    def test_json_round_trip(self):
-        # serialization is decimal floating point, so round-trip is exact
-        # at float resolution (not at the rational-grid level)
-        mu = cantor(THIRD, 2)
-        back = Measure.from_json(mu.to_json())
-        assert [float(t) for t in back.breakpoints] == [float(t) for t in mu.breakpoints]
-        assert [float(d) for d in back.densities] == [float(d) for d in mu.densities]
 
     def test_immutable(self):
         mu = Measure.lebesgue()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,14 +53,28 @@ def test_levels_take_a_comma_list(capsys):
     assert "levels 1,2:" in capsys.readouterr().out
 
 
+# the first four fail in a type function, the rest in argparse itself: a
+# non-integer --order or --m-max (an unknown flag where the script has none)
+# and an unknown flag
 @pytest.mark.parametrize("name", sorted(TINY))
-@pytest.mark.parametrize("bad", [["--levels", "4:2"], ["--levels", "a:b"], ["--levels", "2:"], ["--w", "2"]])
-def test_rejected_value_exits_two_with_one_line(name, bad, capsys):
+@pytest.mark.parametrize("bad", [["--levels", "4:2"], ["--levels", "a:b"], ["--levels", "2:"], ["--w", "2"],
+                                 ["--order", "x"], ["--m-max", "x"], ["--bogus"]])
+def test_rejected_value_exits_two_with_one_line(name, bad, capsys, monkeypatch):
+    script = f"{name}.py"
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / script)])
     with pytest.raises(SystemExit) as exc:
         load(name).main(bad)
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "error:" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"{script}: error: ") and err[0].count(script) == 1
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_help_exits_zero(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 def test_too_few_levels_for_a_fit_exits_two(capsys):

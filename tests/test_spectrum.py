@@ -240,11 +240,11 @@ def _sampled_zero_count(ef):
         n = max(8, math.ceil(8 * h * z * math.sqrt(d) / (math.pi / 2)))
         xs.extend(np.linspace(bp[i], bp[i + 1], n + 1)[:-1])
     vals = eigenfunction_eval(ef, xs + [1.0])
-    if ef.boundary == "dirichlet":
+    if ef.record.boundary == "dirichlet":
         vals = vals[1:-1]
     signs = np.sign(vals[vals != 0.0])
     flips = int(np.sum(signs[1:] != signs[:-1]))
-    return flips + (2 if ef.boundary == "dirichlet" else 0)
+    return flips + (2 if ef.record.boundary == "dirichlet" else 0)
 
 
 def _assert_zero_counts_match_sampler(mu):
