@@ -3,8 +3,9 @@
 
 Checks coefficient factorial bounds, coefficient-gap bounds, the
 closed-form sup-norm gap constants for all four trig-type functions and
-their derivatives, and the CDF sup-distance bounds (telescoping and
-geometric cap), then prints the tightest margin seen per bound family.
+their derivatives, the CDF sup-distance bounds (telescoping and
+geometric cap) and the exact one-step self-similarity of the CDFs, then
+prints the tightest margin seen per bound family.
 Exits 3, the CLI's code for an inconsistency, when any weight's audit
 reports a violated row.
 
@@ -16,9 +17,8 @@ Usage:
 import sys
 from fractions import Fraction
 
-from kreinfeller.cli import ArgumentParser, exit_code, parse_levels, parse_weight, write_report_csv
+from kreinfeller.cli import ArgumentParser, parse_levels, parse_weight, write_report_csv
 from kreinfeller.convergence import bound_audit
-from kreinfeller.errors import ToolkitError
 from kreinfeller.measures import WeightVector
 
 
@@ -30,13 +30,7 @@ def main(argv=None) -> int:
                     help="inclusive level range a:b or comma list (default 1:6)")
     ap.add_argument("--order", type=int, default=12, help="coefficient table order (default 12)")
     ap.add_argument("--out", default=None, help="write all rows for the last weight pair as CSV")
-    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does; a
-    # rejected command line raises ConfigError whose message names the script
-    try:
-        return run(ap.parse_args(argv))
-    except ToolkitError as exc:
-        message = str(exc).removeprefix(f"{ap.prog}: ")
-        ap.exit(exit_code(exc), f"{ap.prog}: error: {message}\n")
+    return ap.parse_and_run(run, argv)
 
 
 def run(args) -> int:

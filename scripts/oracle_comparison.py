@@ -15,8 +15,7 @@ Usage:
 import sys
 from fractions import Fraction
 
-from kreinfeller.cli import ArgumentParser, exit_code, parse_levels, parse_weight
-from kreinfeller.errors import ToolkitError
+from kreinfeller.cli import ArgumentParser, parse_levels, parse_weight
 from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
 from kreinfeller.spectrum import fem_oracle, find_eigenvalues, record_count, relative_gap
 
@@ -30,13 +29,7 @@ def main(argv=None) -> int:
     ap.add_argument("--m-max", type=int, default=6, help="largest eigenvalue index (default 6)")
     ap.add_argument("--mesh-powers", type=parse_levels, default="4,5,6",
                     help="comma list k for meshes h=3^-k (default 4,5,6)")
-    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does; a
-    # rejected command line raises ConfigError whose message names the script
-    try:
-        return run(ap.parse_args(argv))
-    except ToolkitError as exc:
-        message = str(exc).removeprefix(f"{ap.prog}: ")
-        ap.exit(exit_code(exc), f"{ap.prog}: error: {message}\n")
+    return ap.parse_and_run(run, argv)
 
 
 def run(args) -> int:

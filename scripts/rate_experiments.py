@@ -19,12 +19,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from kreinfeller.cli import ArgumentParser, exit_code, parse_levels, parse_weight, write_report_csv
+from kreinfeller.cli import ArgumentParser, parse_levels, parse_weight, write_report_csv
 from kreinfeller.convergence import (
     eigenfunction_rate_experiment,
     eigenvalue_rate_experiment,
 )
-from kreinfeller.errors import ToolkitError
 from kreinfeller.measures import WeightVector
 
 SETTLED_DELTA = 0.05
@@ -48,13 +47,7 @@ def main(argv=None) -> int:
                     help="inclusive level range a:b or comma list (default 5:9)")
     ap.add_argument("--m-max", type=int, default=3, help="largest eigenvalue index tracked (default 3)")
     ap.add_argument("--out-dir", default=None, help="directory for CSV reports (default: print only)")
-    # a failure exits 2, 3 or 4 with one line on stderr, as the CLI does; a
-    # rejected command line raises ConfigError whose message names the script
-    try:
-        return run(ap.parse_args(argv))
-    except ToolkitError as exc:
-        message = str(exc).removeprefix(f"{ap.prog}: ")
-        ap.exit(exit_code(exc), f"{ap.prog}: error: {message}\n")
+    return ap.parse_and_run(run, argv)
 
 
 def run(args) -> int:

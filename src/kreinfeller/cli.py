@@ -115,16 +115,6 @@ def _parse_m_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse m {text!r}: {exc}") from None
 
 
-def _parse_order(text: str) -> int:
-    """Coefficient table order: an integer, or 'auto' for the default."""
-    if text == "auto":
-        return DEFAULT_ORDER
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"order must be an integer or 'auto', got {text!r}") from None
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run request; construction rejects inconsistent options."""
@@ -207,6 +197,16 @@ class ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ConfigError(f"{self.prog}: {message}")
 
+    def parse_and_run(self, handler, argv: list[str] | None = None) -> int:
+        """A script's ``main``: ``handler(args)`` on the parsed command line.
+        A failure exits 2, 3 or 4 with one line on stderr, as ``main`` does;
+        the message of a rejected command line already names the program."""
+        try:
+            return handler(self.parse_args(argv))
+        except ToolkitError as exc:
+            message = str(exc).removeprefix(f"{self.prog}: ")
+            self.exit(exit_code(exc), f"{self.prog}: error: {message}\n")
+
 
 def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
     """An argparse parent parser declaring one option, whose default is
@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", dest="m_index", type=int, metavar="M", help="eigenfunction index for --kind eigenfunction")
 
     p = command("audit", "audit proven bounds on a family of approximants", levels)
-    p.add_argument("--order", type=_parse_order, help="coefficient table order, integer or 'auto' for the default")
+    p.add_argument("--order", type=int, help="coefficient table order")
 
     p = command("oracle-compare", "spectral solver vs. finite-element oracle", level, boundary, m_max(), scan_ceiling)
     p.add_argument("--mesh-power", type=int, help="finite-element mesh size 3^-k")

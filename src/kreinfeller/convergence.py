@@ -210,25 +210,19 @@ def eigenfunction_rate_experiment(
     levels: Sequence[int],
     boundary: str,
     m: int,
-    x_grid: Sequence[float] | np.ndarray | None = None,
 ) -> FunctionRateReport:
     """Sup-norm successive gaps of the index-``m`` eigenfunction across levels.
 
-    All levels are evaluated on one shared grid; by default the breakpoints of
-    the approximant one level deeper than the deepest requested, refined with
-    16 uniform points per interval.
+    All levels are evaluated on one shared grid: the breakpoints of the
+    approximant one level deeper than the deepest requested, refined with 16
+    uniform points per interval.
     """
     levels = _check_levels(levels, minimum=3)
     min_index = 0 if boundary == NEUMANN else 1
     if m < min_index:
         raise ConfigError(f"index must be >= {min_index} for {boundary}, got {m}")
 
-    if x_grid is None:
-        grid = refined_grid(w, max(levels) + 1)
-    else:
-        grid = np.asarray(x_grid, dtype=float)
-        if grid.size < 2:
-            raise ConfigError("x_grid needs at least two points")
+    grid = refined_grid(w, max(levels) + 1)
 
     count = record_count(boundary, m)
     values: list[np.ndarray] = []
@@ -352,21 +346,23 @@ def bound_audit(
     w: WeightVector,
     levels: Sequence[int],
     coeff_order: int = 12,
-    z_grid: Sequence[float] = DEFAULT_AUDIT_Z_GRID,
     raise_on_violation: bool = True,
 ) -> AuditReport:
     """Re-verify every inequality the package relies on, for all level pairs.
 
-    Exact rational arithmetic decides the CDF rows; everything else is float
-    evaluation with a tiny rounding allowance.  Any violated row means an
-    implementation bug (the inequalities are proven), so the default is to
-    raise; pass ``raise_on_violation=False`` to inspect the report instead.
+    Exact rational arithmetic decides the CDF rows, the self-similarity step
+    included; everything else is float evaluation with a tiny rounding
+    allowance.  Any violated row means an implementation bug (the
+    inequalities are proven), so the default is to raise; pass
+    ``raise_on_violation=False`` to inspect the report instead.
     """
     levels = _check_levels(levels, minimum=1)
     if coeff_order < 2:
         raise ConfigError(f"coeff_order must be >= 2, got {coeff_order}")
 
-    measures = {n: cantor_approximant(CantorLevel(w, n)) for n in levels}
+    # each level once, with the parent n - 1 the self-similarity rows read
+    built = sorted(set(levels) | {n - 1 for n in levels if n >= 1})
+    measures = {n: cantor_approximant(CantorLevel(w, n)) for n in built}
     tables = {n: build_table(measures[n], coeff_order) for n in levels}
     pairs = [
         (n, m, cdf_sup_distance_exact(measures[n], measures[m]))
@@ -374,14 +370,20 @@ def bound_audit(
         for m in levels[i + 1:]
     ]
 
-    rows = _cdf_rows(w, pairs) + _self_similarity_rows(w, levels)
+    rows = _cdf_rows(w, pairs)
+    rows += [
+        _row("cdf-self-similarity", f"n={n}",
+             verify_refinement_identity(measures[n], measures[n - 1], w), 0)
+        for n in levels
+        if n >= 1
+    ]
     for n in levels:
         rows += _factorial_rows(n, tables[n])
     for n, m, dist in pairs:
         pair, dist_f = f"pair=({n},{m})", float(dist)
         rows += _coefficient_gap_rows(pair, tables[n], tables[m], dist_f)
-        rows += _trig_gap_rows(pair, measures[n], measures[m], dist_f, z_grid)
-        rows += _deriv_gap_rows(pair, measures[n], measures[m], dist_f, z_grid)
+        rows += _trig_gap_rows(pair, measures[n], measures[m], dist_f)
+        rows += _deriv_gap_rows(pair, measures[n], measures[m], dist_f)
 
     report = AuditReport(weights=w, levels=levels, rows=tuple(rows))
     bad = report.violations()
@@ -403,16 +405,6 @@ def _cdf_rows(w: WeightVector, pairs) -> list[AuditRow]:
         rows.append(_row("cdf-telescoping", f"n={n} m={m}", dist, telescoped))
         rows.append(_row("cdf-geometric-cap", f"n={n} m={m}", dist, w.w2**n / w.w1))
     return rows
-
-
-def _self_similarity_rows(w: WeightVector, levels) -> list[AuditRow]:
-    samples = np.linspace(0.0, 1.0, 730)
-    return [
-        _row("cdf-self-similarity", f"n={n}",
-             verify_refinement_identity(CantorLevel(w, n), samples), 1e-12)
-        for n in levels
-        if n >= 1
-    ]
 
 
 def _factorial_rows(level, table: TrigTable) -> list[AuditRow]:
@@ -451,10 +443,10 @@ def _coefficient_gap_rows(pair, table_n: TrigTable, table_m: TrigTable, dist_f) 
     return rows
 
 
-def _trig_gap_rows(pair, mu_n: Measure, mu_m: Measure, dist_f, z_grid) -> list[AuditRow]:
+def _trig_gap_rows(pair, mu_n: Measure, mu_m: Measure, dist_f) -> list[AuditRow]:
     grid = mu_m.sample_grid(17)
     rows = []
-    for z in z_grid:
+    for z in DEFAULT_AUDIT_Z_GRID:
         for family, const in _FAMILY_CONSTANTS.items():
             gap = np.max(
                 np.abs(eval_on_grid(mu_n, z, grid, family) - eval_on_grid(mu_m, z, grid, family))
@@ -464,9 +456,9 @@ def _trig_gap_rows(pair, mu_n: Measure, mu_m: Measure, dist_f, z_grid) -> list[A
     return rows
 
 
-def _deriv_gap_rows(pair, mu_n: Measure, mu_m: Measure, dist_f, z_grid) -> list[AuditRow]:
+def _deriv_gap_rows(pair, mu_n: Measure, mu_m: Measure, dist_f) -> list[AuditRow]:
     rows = []
-    for z in z_grid:
+    for z in DEFAULT_AUDIT_Z_GRID:
         rn, rm = boundary_values(mu_n, z), boundary_values(mu_m, z)
         limit = 2.0 * dist_f * deriv_gap_sum(z)
         for name, gap in (

@@ -59,9 +59,6 @@ class WeightVector:
             raise DomainError(f"weights {a} + {b} != 1 exactly")
         return cls(min(a, b), max(a, b))
 
-    def as_floats(self) -> tuple[float, float]:
-        return float(self.w1), float(self.w2)
-
     def __str__(self) -> str:
         return f"({self.w1}, {self.w2})"
 
@@ -73,9 +70,10 @@ class Measure:
     breakpoints: 0 = t_0 < t_1 < ... < t_K = 1, exact rationals.
     densities:   d_1 ... d_K >= 0, one per interval, exact rationals.
 
-    Instances are immutable; float views of the grid, densities, piece
-    lengths and CDF, and the (h, d, sqrt(d)) piece table that the
-    propagation sweep reads, are cached at construction.
+    Instances are immutable; the exact CDF at every breakpoint, float
+    views of the grid, densities and piece lengths, and the (h, d, sqrt(d))
+    piece table that the propagation sweep reads, are cached at
+    construction.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -86,7 +84,6 @@ class Measure:
     # float(bp[i+1] - bp[i]), not _piece_table's h = np.diff(_bp): the two differ in the last bit
     _lengths: tuple[float, ...] = field(compare=False, repr=False, default=None)
     _cdf_at_bp: tuple[Fraction, ...] = field(compare=False, repr=False, default=None)
-    _cdf_float: np.ndarray = field(compare=False, repr=False, default=None)
     _piece_table: tuple = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -109,7 +106,6 @@ class Measure:
         object.__setattr__(self, "_dens", np.array([float(d) for d in dens]))
         object.__setattr__(self, "_lengths", tuple(map(float, lengths)))
         object.__setattr__(self, "_cdf_at_bp", tuple(cum))
-        object.__setattr__(self, "_cdf_float", np.array([float(c) for c in cum]))
         pieces = zip(np.diff(self._bp).tolist(), self._dens.tolist())
         object.__setattr__(self, "_piece_table", tuple((h, d, math.sqrt(d)) for h, d in pieces))
 
@@ -136,19 +132,6 @@ class Measure:
         i = bisect.bisect_right(self.breakpoints, tt) - 1
         i = min(i, len(self.densities) - 1)
         return self._cdf_at_bp[i] + self.densities[i] * (tt - self.breakpoints[i])
-
-    def cdf(self, ts: np.ndarray) -> np.ndarray:
-        """Float CDF at every point of ``ts``, each in [0,1].
-
-        Every breakpoint, 1 included, gets the float of its exact value.
-        """
-        ts = np.asarray(ts, dtype=float)
-        if not np.all((ts >= 0.0) & (ts <= 1.0)):
-            raise DomainError("cdf arguments outside [0,1]")
-        i = np.searchsorted(self._bp, ts, side="right") - 1
-        idx = np.minimum(i, self.piece_count - 1)
-        inside = self._cdf_float[idx] + self._dens[idx] * (ts - self._bp[idx])
-        return np.where(i == self.piece_count, self._cdf_float[-1], inside)
 
     def sample_grid(self, per_piece: int | Sequence[int]) -> np.ndarray:
         """Every breakpoint plus ``n - 1`` uniform interior points per piece.
@@ -226,24 +209,24 @@ def cdf_sup_distance_exact(a: Measure, b: Measure) -> Fraction:
     return max(abs(a.cdf_exact(t) - b.cdf_exact(t)) for t in merged)
 
 
-def verify_refinement_identity(spec: CantorLevel, samples: Sequence[float]) -> float:
-    """Max defect of the one-step self-similarity of the CDFs.
+def verify_refinement_identity(mu: Measure, mu_prev: Measure, weights: WeightVector) -> Fraction:
+    """Exact maximum defect over [0,1] of the one-step self-similarity
 
-    For level n >= 1 the construction satisfies
-        F_n(y) = w1 * F_{n-1}(3y) + w2 * F_{n-1}(3y - 2)
-    with the convention F(s) = 0 for s <= 0 and F(s) = 1 for s >= 1.
-    Returns the maximum absolute defect over the sample grid.
+        F(y) = w1 * F_prev(3y) + w2 * F_prev(3y - 2),
+
+    where F_prev is held constant outside [0,1].  Both sides are continuous
+    and piecewise linear, with kinks only at the breakpoints of ``mu`` and
+    at the images s/3 and (s + 2)/3 of those of ``mu_prev`` (which include
+    the clamps at 1/3 and 2/3), so the maximum over those points, taken in
+    exact arithmetic, is the supremum.  For a level-n approximant and its
+    level-(n-1) parent they are the level-n breakpoints, and zero proves
+    the identity on all of [0,1].
     """
-    if spec.level < 1:
-        raise DomainError("refinement identity needs level >= 1")
-    mu_n = cantor_approximant(spec)
-    mu_prev = cantor_approximant(CantorLevel(spec.weights, spec.level - 1))
-    w1, w2 = spec.weights.as_floats()
+    w1, w2 = weights.w1, weights.w2
+    mass = mu_prev.cdf_exact(1)
 
-    def clamped_cdf(m: Measure, s: np.ndarray) -> np.ndarray:
-        return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, m.cdf(np.clip(s, 0.0, 1.0))))
+    def prev(s: Fraction) -> Fraction:
+        return 0 if s <= 0 else mass if s >= 1 else mu_prev.cdf_exact(s)
 
-    y = np.asarray(samples, dtype=float)
-    lhs = clamped_cdf(mu_n, y)
-    rhs = w1 * clamped_cdf(mu_prev, 3.0 * y) + w2 * clamped_cdf(mu_prev, 3.0 * y - 2.0)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    ys = set(mu.breakpoints).union(*((s / 3, (s + 2) / 3) for s in mu_prev.breakpoints))
+    return max(abs(mu.cdf_exact(y) - w1 * prev(3 * y) - w2 * prev(3 * y - 2)) for y in ys)

@@ -99,8 +99,12 @@ class TestConfigParsing:
         cfg = config_from_argv(["audit", "--order", "24"])
         assert cfg.order == 24
 
-    def test_order_auto_is_the_default(self):
-        assert config_from_argv(["audit", "--order", "auto"]).order == 12
+    def test_order_auto_is_the_default(self, capsys):
+        # 'auto' is no longer a spelling of the default: it is rejected
+        assert main(["audit", "--order", "auto"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
         assert config_from_argv(["audit"]).order == 12
 
     def test_order_garbage_rejected(self):

@@ -69,7 +69,7 @@ class TestEigenvalueRates:
 
     def test_cdf_bounds_are_geometric(self, half_neumann_report):
         rep = half_neumann_report
-        w1, w2 = HALF.as_floats()
+        w1, w2 = float(HALF.w1), float(HALF.w2)
         for n, b in zip(rep.levels, rep.cdf_dist_bounds):
             assert b == pytest.approx(w2**n / w1, rel=1e-15)
 
@@ -187,11 +187,6 @@ class TestEigenfunctionRates:
         assert gap[1] <= 1e-11
 
     def test_custom_grid_and_validation(self):
-        grid = np.linspace(0.0, 1.0, 50)
-        rep = eigenfunction_rate_experiment(THIRD, [2, 3, 4], "dirichlet", 1, x_grid=grid)
-        assert rep.grid_size == 50
-        with pytest.raises(ConfigError):
-            eigenfunction_rate_experiment(THIRD, [2, 3, 4], "dirichlet", 1, x_grid=[0.5])
         with pytest.raises(ConfigError):
             eigenfunction_rate_experiment(THIRD, [2, 3, 4], "dirichlet", 0)
 
@@ -311,16 +306,14 @@ class TestBoundAudit:
         broken["sp"] = even_family_gap_constant
         monkeypatch.setattr(conv, "_FAMILY_CONSTANTS", broken)
         with pytest.raises(InconsistencyError):
-            bound_audit(HALF, [2, 3], coeff_order=4, z_grid=[0.25])
-        rep = bound_audit(
-            HALF, [2, 3], coeff_order=4, z_grid=[0.25], raise_on_violation=False
-        )
+            bound_audit(HALF, [2, 3], coeff_order=4)
+        rep = bound_audit(HALF, [2, 3], coeff_order=4, raise_on_violation=False)
         bad = rep.violations()
         assert bad and all(r.bound == "trig-gap-sp" for r in bad)
 
     def test_builds_each_approximant_once(self, monkeypatch):
         # the rows read the approximants the audit already holds: one build per
-        # level, plus two per level inside verify_refinement_identity
+        # level, the parent level 0 of the self-similarity row included
         from kreinfeller import measures
 
         calls = []
@@ -333,7 +326,7 @@ class TestBoundAudit:
         monkeypatch.setattr(measures, "cantor_approximant", counted)
         monkeypatch.setattr(conv, "cantor_approximant", counted)
         bound_audit(HALF, [1, 2, 3, 4, 5])
-        assert len(calls) == 5 + 2 * 5
+        assert sorted(calls) == [0, 1, 2, 3, 4, 5]
 
     def test_deterministic(self, report):
         again = bound_audit(HALF, [1, 2, 3], coeff_order=8)

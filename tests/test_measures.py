@@ -82,7 +82,7 @@ class TestCantorApproximant:
 
 class TestCdf:
     def test_lebesgue_identity(self, lebesgue):
-        assert lebesgue.cdf(0.25) == 0.25
+        assert lebesgue.cdf_exact(0.25) == Fraction(1, 4)
 
     def test_level1_full_first_interval(self):
         assert cantor(HALF, 1).cdf_exact(Fraction(1, 3)) == Fraction(1, 2)
@@ -93,31 +93,18 @@ class TestCdf:
 
     def test_domain_error(self, lebesgue):
         with pytest.raises(DomainError):
-            lebesgue.cdf(1.5)
+            lebesgue.cdf_exact(1.5)
         with pytest.raises(DomainError):
-            lebesgue.cdf(-0.1)
+            lebesgue.cdf_exact(-0.1)
 
     @given(mu=piecewise_measures(), t=st.floats(min_value=0, max_value=1))
     @settings(max_examples=60, deadline=None)
     def test_endpoints_and_monotone(self, mu, t):
-        assert mu.cdf(0.0) == 0.0
-        assert abs(mu.cdf(1.0) - 1.0) < 1e-12
-        ts = np.linspace(0, 1, 37)
-        vals = mu.cdf(ts)
-        assert np.all(np.diff(vals) >= -1e-15)
-        assert 0.0 <= mu.cdf(t) <= 1.0 + 1e-12
-
-    def test_one_float_evaluator(self):
-        for weights in (HALF, THIRD, WeightVector.of(Fraction(2, 5))):
-            mu = cantor(weights, 3)
-            # at every breakpoint, 0 and 1 included, it is the float of the exact value
-            bp = [float(t) for t in mu.breakpoints]
-            assert mu.cdf(bp).tolist() == [float(mu.cdf_exact(t)) for t in mu.breakpoints]
-            # monotone on a grid that mixes interior points and breakpoints
-            assert np.all(np.diff(mu.cdf(np.linspace(0, 1, 1001))) >= 0.0)
-            for outside in ([-0.1], [0.5, 1.5], -1e-300, [0.5, float("nan")]):
-                with pytest.raises(DomainError):
-                    mu.cdf(outside)
+        assert mu.cdf_exact(0) == 0
+        assert mu.cdf_exact(1) == 1
+        vals = [mu.cdf_exact(Fraction(k, 36)) for k in range(37)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert 0 <= mu.cdf_exact(t) <= 1
 
 
 class TestSupDistance:
@@ -161,26 +148,42 @@ class TestSupDistance:
 
 class TestRefinementIdentity:
     def test_level1_at_one_third(self):
-        d = verify_refinement_identity(CantorLevel(HALF, 1), [1.0 / 3.0])
-        assert d == 0.0
+        mu, parent = cantor(HALF, 1), cantor(HALF, 0)
+        # F_1(1/3) = w1 * F_0(1) + w2 * F_0(-1): the clamp's kink
+        assert mu.cdf_exact(Fraction(1, 3)) == HALF.w1
+        assert verify_refinement_identity(mu, parent, HALF) == 0
 
     def test_level2_dense_grid(self):
-        grid = np.linspace(0, 1, 2001)
-        d = verify_refinement_identity(CantorLevel(THIRD, 2), grid)
-        assert d <= 1e-12
+        # zero at the breakpoints is zero everywhere: check 2001 exact points
+        mu, parent = cantor(THIRD, 2), cantor(THIRD, 1)
+        assert verify_refinement_identity(mu, parent, THIRD) == 0
+
+        def prev(s):
+            return parent.cdf_exact(min(max(s, 0), 1))
+
+        for k in range(2001):
+            y = Fraction(k, 2000)
+            assert mu.cdf_exact(y) == THIRD.w1 * prev(3 * y) + THIRD.w2 * prev(3 * y - 2)
 
     def test_right_endpoint(self, weights):
-        assert verify_refinement_identity(CantorLevel(weights, 1), [1.0]) == 0.0
+        mu, parent = cantor(weights, 1), cantor(weights, 0)
+        assert mu.cdf_exact(1) == weights.w1 + weights.w2
+        assert verify_refinement_identity(mu, parent, weights) == 0
 
-    @given(w=weight_vectors(), n=st.integers(min_value=1, max_value=5))
+    @given(w=weight_vectors(), n=st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)
-    def test_all_levels_small_defect(self, w, n):
-        grid = np.linspace(0, 1, 301)
-        assert verify_refinement_identity(CantorLevel(w, n), grid) <= 1e-12
+    def test_all_levels_zero_defect(self, w, n):
+        defect = verify_refinement_identity(cantor(w, n), cantor(w, n - 1), w)
+        assert defect == 0 and isinstance(defect, Fraction)
 
-    def test_level0_rejected(self):
-        with pytest.raises(DomainError):
-            verify_refinement_identity(CantorLevel(HALF, 0), [0.5])
+    def test_mismatched_inputs_give_the_exact_defect(self):
+        # the measures' weights (1/3, 2/3) against the step's (2/5, 3/5): the
+        # defect peaks at y = 1/3, F_2 = 1/3 against 2/5
+        two_fifths = WeightVector.of(Fraction(2, 5))
+        assert verify_refinement_identity(cantor(THIRD, 2), cantor(THIRD, 1), two_fifths) == Fraction(1, 15)
+        # a level skipped: the step from level 1 gives level 2, so this is |F_3 - F_2|
+        assert verify_refinement_identity(cantor(THIRD, 3), cantor(THIRD, 1), THIRD) == Fraction(4, 27)
+        assert cdf_sup_distance_exact(cantor(THIRD, 3), cantor(THIRD, 2)) == Fraction(4, 27)
 
 
 class TestMeasureValidation:
