@@ -17,7 +17,8 @@ cell by one rule, and JSON takes the rows in one of two layouts, columns
 ``audit``).  A ``rates`` document is the report's fields, which its
 long-form rows cannot give back.  ``write_report_csv`` writes the scripts'
 report files from the same rows.  ``EigenvalueRecord.csv_row`` in
-``spectrum`` remains only for the benchmark harness.
+``spectrum``, kept only for the benchmark harness, formats one record's
+``eigvals`` row by the same field order and cell rule.
 
 Design constraints honored here:
 

@@ -133,21 +133,18 @@ class Measure:
         i = min(i, len(self.densities) - 1)
         return self._cdf_at_bp[i] + self.densities[i] * (tt - self.breakpoints[i])
 
-    def sample_grid(self, per_piece: int | Sequence[int]) -> np.ndarray:
-        """Every breakpoint plus ``n - 1`` uniform interior points per piece.
+    def sample_grid(self, per_piece: int) -> np.ndarray:
+        """Every breakpoint plus ``per_piece - 1`` uniform interior points per piece.
 
-        ``per_piece`` is one count ``n >= 1`` for all pieces or one count per
-        piece.  Piece ``[lo, hi]`` contributes ``lo + (hi - lo) * k / n`` for
-        ``k = 0 .. n - 1``; the grid closes with 1, so it has ``sum(n) + 1``
-        increasing points.
+        Piece ``[lo, hi]`` contributes ``lo + (hi - lo) * k / per_piece`` for
+        ``k = 0 .. per_piece - 1``; the grid closes with 1, so it has
+        ``piece_count * per_piece + 1`` increasing points.
         """
-        n = np.broadcast_to(np.asarray(per_piece, dtype=int), (self.piece_count,))
-        if n.min() < 1:
-            raise DomainError(f"every piece needs at least one sample, got {n.min()}")
-        piece = np.repeat(np.arange(self.piece_count), n)
-        k = np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n)
-        lo = self._bp[piece]
-        return np.append(lo + (self._bp[piece + 1] - lo) * k / n[piece], self._bp[-1])
+        if per_piece < 1:
+            raise DomainError(f"every piece needs at least one sample, got {per_piece}")
+        lo, hi = self._bp[:-1, None], self._bp[1:, None]
+        grid = lo + (hi - lo) * np.arange(per_piece) / per_piece
+        return np.append(grid.ravel(), self._bp[-1])
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,16 @@ sin and cos.  Coefficients obey the factorial bounds
 which give every truncated evaluation a certified tail bound.  All
 coefficients are nonnegative, so table builds involve no cancellation.
 
+The functions are named sp, cp, sq, cq, as in kreinfeller.propagation,
+and one table (_FAMILIES) gives each its parity, its coefficients and
+the coefficients whose second one bounds its tail.
+
 Users: the bound audit (convergence.bound_audit) needs build_table and
 TrigTable; acceptance criterion 3 needs null_sum_plain and
-null_sum_weighted.  sinp/sinq/cosp/cosq, their four z-derivatives and
-cp_eval/sq_eval are the independent reference that the tests compare
-propagation.boundary_values and eval_on_grid against.
+null_sum_weighted.  value, derivative and value_at evaluate any family
+at x = 1, its z-derivative there, and its value at any x; they are the
+independent reference that the tests compare propagation.boundary_values
+and eval_on_grid against.
 
 Every series value is one call of _alternating_sum: the terms
 (-1)^n * w * z**k * c are formed left to right and added with math.fsum,
@@ -58,14 +63,6 @@ class TrigTable:
     q_fun: tuple[PiecewisePolynomial, ...]
     p_one: tuple[float, ...]
     q_one: tuple[float, ...]
-
-    @property
-    def p2_at_one(self) -> float:
-        return self.p_one[2]
-
-    @property
-    def q2_at_one(self) -> float:
-        return self.q_one[2]
 
 
 def build_table(mu: Measure, order: int) -> TrigTable:
@@ -164,41 +161,43 @@ def _alternating_sum(z: float, terms) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the four functions and their z-derivatives
+# the four functions, their z-derivatives and their values at x
+
+# family -> (odd, its coefficients, the coefficients whose second one bounds the tail)
+_FAMILIES = {
+    "sp": (True, "p", "q"), "cp": (False, "p", "p"),
+    "sq": (True, "q", "p"), "cq": (False, "q", "q"),
+}
 
 
-def _eval(table: TrigTable, z: float, odd: bool, one_vals, bound_base: float) -> tuple[float, float]:
+def _family(table: TrigTable, family: str, part: str):
+    """(odd, coefficients, tail-bound coefficients) of ``family``, read from
+    the table's ``p_<part>`` and ``q_<part>`` fields."""
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown function family {family!r}")
+    odd, coeffs, bound = _FAMILIES[family]
+    return odd, getattr(table, f"{coeffs}_{part}"), getattr(table, f"{bound}_{part}")
+
+
+def value(table: TrigTable, family: str, z: float) -> tuple[float, float]:
+    """One of sp, cp, sq, cq at x = 1."""
+    odd, one_vals, bound = _family(table, family, "one")
     N = table.order
-    tail = (abs(z) if odd else 1.0) * _factorial_tail(z * z * bound_base, N + 1)
+    tail = (abs(z) if odd else 1.0) * _factorial_tail(z * z * bound[2], N + 1)
     terms = ((k // 2, 1, k, one_vals[k]) for k in range(odd, 2 * N + 2, 2))
     return _alternating_sum(z, terms), tail
 
 
-def sinp(table: TrigTable, z: float) -> tuple[float, float]:
-    return _eval(table, z, True, table.p_one, table.q2_at_one)
-
-
-def sinq(table: TrigTable, z: float) -> tuple[float, float]:
-    return _eval(table, z, True, table.q_one, table.p2_at_one)
-
-
-def cosp(table: TrigTable, z: float) -> tuple[float, float]:
-    return _eval(table, z, False, table.p_one, table.p2_at_one)
-
-
-def cosq(table: TrigTable, z: float) -> tuple[float, float]:
-    return _eval(table, z, False, table.q_one, table.q2_at_one)
-
-
-def _eval_prime(table: TrigTable, z: float, odd: bool, one_vals, bound_base: float) -> tuple[float, float]:
-    """Termwise z-derivative of the truncated series.
+def derivative(table: TrigTable, family: str, z: float) -> tuple[float, float]:
+    """Termwise z-derivative of the truncated series at x = 1.
 
     Odd family: sum (-1)^n (2n+1) z^(2n) coeff_{2n+1}; valid everywhere,
     not only at zeros (the k=0 term does not drop).
     Even family: sum (-1)^n (2n) z^(2n-1) coeff_{2n}.
     """
+    odd, one_vals, bound = _family(table, family, "one")
     N = table.order
-    r = z * z * bound_base
+    r = z * z * bound[2]
     if odd:
         tail = _factorial_tail(r, N + 1, 1)
         terms = ((n, 2 * n + 1, 2 * n, one_vals[2 * n + 1]) for n in range(N + 1))
@@ -208,50 +207,22 @@ def _eval_prime(table: TrigTable, z: float, odd: bool, one_vals, bound_base: flo
     return _alternating_sum(z, terms), tail
 
 
-def sinp_prime(table: TrigTable, z: float) -> tuple[float, float]:
-    return _eval_prime(table, z, True, table.p_one, table.q2_at_one)
-
-
-def sinq_prime(table: TrigTable, z: float) -> tuple[float, float]:
-    return _eval_prime(table, z, True, table.q_one, table.p2_at_one)
-
-
-def cosp_prime(table: TrigTable, z: float) -> tuple[float, float]:
-    return _eval_prime(table, z, False, table.p_one, table.p2_at_one)
-
-
-def cosq_prime(table: TrigTable, z: float) -> tuple[float, float]:
-    return _eval_prime(table, z, False, table.q_one, table.q2_at_one)
-
-
-# ---------------------------------------------------------------------------
-# x-dependent evaluation
-
-
-def _eval_at_x(table: TrigTable, z: float, x: float, odd: bool, funs,
-               bound_fun: PiecewisePolynomial) -> tuple[float, float]:
+def value_at(table: TrigTable, family: str, z: float, x: float) -> tuple[float, float]:
+    """One of sp, cp, sq, cq at x in [0, 1]; cp and sq are the Neumann and
+    Dirichlet eigenfunction series when z^2 is an eigenvalue."""
+    odd, funs, bound = _family(table, family, "fun")
     N = table.order
     xs = np.array([x])
     terms = ((k // 2, 1, k, float(funs[k].eval_many(xs)[0])) for k in range(odd, 2 * N + 2, 2))
-    value = _alternating_sum(z, terms)
-    r = z * z * float(bound_fun.eval_many(xs)[0])
-    return value, (abs(z) if odd else 1.0) * _factorial_tail(r, N + 1)
-
-
-def cp_eval(table: TrigTable, z: float, x: float) -> tuple[float, float]:
-    """cp_z(x): the Neumann eigenfunction series when z^2 is an eigenvalue."""
-    return _eval_at_x(table, z, x, False, table.p_fun, table.p_fun[2])
-
-
-def sq_eval(table: TrigTable, z: float, x: float) -> tuple[float, float]:
-    """sq_z(x): the Dirichlet eigenfunction series when z^2 is an eigenvalue."""
-    return _eval_at_x(table, z, x, True, table.q_fun, table.p_fun[2])
+    val = _alternating_sum(z, terms)
+    r = z * z * float(bound[2].eval_many(xs)[0])
+    return val, (abs(z) if odd else 1.0) * _factorial_tail(r, N + 1)
 
 
 # ---------------------------------------------------------------------------
 # Cauchy-product null sums
 #
-# If lam = z^2 is a zero of sinp then  cp_z(1) * sp_z(1) = 0, and expanding
+# If lam = z^2 is a zero of sp_z(1) then  cp_z(1) * sp_z(1) = 0, and expanding
 # the product of the two series gives alternating null sums over the
 # convolution coefficients sum_k p_{2k} p_{2(n-k)+1}; the same holds with
 # the extra 2k weight (from differentiating the product).  Truncations of
@@ -280,6 +251,6 @@ def _null_sum(table: TrigTable, lam: float, weighted: bool) -> tuple[float, floa
                   for k in range(n + 1))
         for n in range(N + 1)
     ]
-    value = _alternating_sum(lam, ((n, 1, n, c) for n, c in enumerate(inner)))
-    r = lam * (table.p2_at_one + table.q2_at_one)
-    return value, _factorial_tail(r, N + 1, deriv_weight=2 if weighted else 0)
+    val = _alternating_sum(lam, ((n, 1, n, c) for n, c in enumerate(inner)))
+    r = lam * (table.p_one[2] + table.q_one[2])
+    return val, _factorial_tail(r, N + 1, deriv_weight=2 if weighted else 0)

@@ -1,8 +1,8 @@
 """Eigenvalues and eigenfunctions of the second-order operator attached to a measure.
 
-Neumann eigenvalues are squares of the zeros of the boundary value of the odd
-cosine-family solution's companion (``sinp``); Dirichlet eigenvalues are squares
-of the positive zeros of ``sinq``.  Both boundary values are evaluated through
+Neumann eigenvalues are squares of the zeros of ``sp`` at x = 1, the odd
+companion of the cosine-family solution ``cp``; Dirichlet eigenvalues are squares
+of the positive zeros of ``sq`` at x = 1.  Both boundary values are evaluated through
 the exact piecewise closed form in :mod:`kreinfeller.propagation`, so the only
 evaluation error is accumulated rounding, reported per point.  A solve needs
 only the measure: the scan step's ``q2(1)`` is summed from its pieces, and the
@@ -23,6 +23,7 @@ The scan-and-refine strategy:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +35,10 @@ from .propagation import boundary_values, eval_on_grid, zero_count
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
-_BOUNDARIES = (NEUMANN, DIRICHLET)
+# boundary -> (function whose zeros at x = 1 are the eigenvalues, its companion,
+# the eigenfunction's family), named as in kreinfeller.propagation
+_SIDES = {NEUMANN: ("sp", "cp", "cp"), DIRICHLET: ("sq", "cq", "sq")}
+_BOUNDARIES = tuple(_SIDES)
 
 _DEFAULT_CEILING = 500.0
 
@@ -67,21 +71,11 @@ class EigenvalueRecord:
     error_bound: float
 
     def csv_row(self) -> tuple[str, ...]:
-        """CSV cells for ``perfbench/workloads.py``, its sole caller; ROADMAP direction 1 drops it."""
-        return (
-            self.boundary,
-            str(self.index),
-            _fmt(self.z),
-            _fmt(self.lam),
-            _fmt(self.bracket_lo),
-            _fmt(self.bracket_hi),
-            _fmt(self.residual),
-            _fmt(self.error_bound),
-        )
+        """The record's ``eigvals`` CSV cells, by the CLI's rules; kept for
+        ``perfbench/workloads.py``, its sole caller (ROADMAP direction 1 drops it)."""
+        from . import cli
 
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+        return tuple(map(cli._cell, cli._eigvals_rows([self])[1]))
 
 
 @dataclass(frozen=True)
@@ -100,21 +94,14 @@ class Eigenfunction:
 
 def _boundary_value_fn(mu: Measure, boundary: str) -> Callable[[float], tuple[float, float, float]]:
     """Return z -> (boundary value, rounding estimate, z-derivative of the value)."""
-
-    if boundary == NEUMANN:
-        def fn(z: float) -> tuple[float, float, float]:
-            r = boundary_values(mu, z)
-            return r.sp, r.err_est, r.sp_prime
-    else:
-        def fn(z: float) -> tuple[float, float, float]:
-            r = boundary_values(mu, z)
-            return r.sq, r.err_est, r.sq_prime
-    return fn
+    value = _SIDES[boundary][0]
+    pick = operator.attrgetter(value, "err_est", value + "_prime")
+    return lambda z: pick(boundary_values(mu, z))
 
 
 def _q2_at_one(mu: Measure) -> float:
     """q2(1) = integral of t dmu, summed in the float order of
-    ``build_table(mu, 2).q2_at_one`` so that the scan grid matches it bit for bit.
+    ``build_table(mu, 2).q_one[2]`` so that the scan grid matches it bit for bit.
 
     The exact rational sum differs from the table's value in the last bits, which
     moves the scan grid and with it the last digits of some roots.
@@ -333,8 +320,7 @@ def eigenfunction_eval(
     the sign convention keeps the value (Neumann) or slope (Dirichlet) at x=0
     positive.
     """
-    family = "cp" if ef.record.boundary == NEUMANN else "sq"
-    vals = eval_on_grid(ef.measure, ef.record.z, xs, family)
+    vals = eval_on_grid(ef.measure, ef.record.z, xs, _SIDES[ef.record.boundary][2])
     if normalized:
         vals = vals / eigenfunction_l2_norm(ef)
     return vals
@@ -356,11 +342,9 @@ def eigenfunction_l2_norm(ef: Eigenfunction) -> float:
     rec = ef.record
     if rec.boundary == NEUMANN and rec.index == 0:
         return 1.0
+    value, companion, _ = _SIDES[rec.boundary]
     r = boundary_values(ef.measure, rec.z)
-    if rec.boundary == NEUMANN:
-        product = r.cp * r.sp_prime
-    else:
-        product = r.cq * r.sq_prime
+    product = getattr(r, companion) * getattr(r, value + "_prime")
     noise = 10.0 * r.err_est * (1.0 + abs(rec.z))
     if product <= 0.0:
         if abs(product) > noise:

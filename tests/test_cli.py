@@ -289,6 +289,18 @@ class TestEigvalsCommand:
             assert float(row[2]) == rec.z  # 17 significant digits round-trip exactly
             assert float(row[3]) == rec.lam
 
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_record_csv_row_is_its_csv_line(self, boundary, capsysbinary):
+        rc = main(["eigvals", "--w", "3/7", "--level", "3", "--boundary", boundary, "--m-max", "5"])
+        assert rc == 0
+        lines = capsysbinary.readouterr().out.decode("utf-8").split("\r\n")
+        from kreinfeller.measures import CantorLevel, WeightVector, cantor_approximant
+        from kreinfeller.spectrum import record_count
+
+        mu = cantor_approximant(CantorLevel(WeightVector.of(Fraction(3, 7)), 3))
+        records = find_eigenvalues(mu, boundary, record_count(boundary, 5))
+        assert [",".join(rec.csv_row()) for rec in records] == lines[1:-1]
+
 
 class TestCsvRows:
     def test_rows_round_trip(self):

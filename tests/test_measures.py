@@ -210,9 +210,9 @@ class TestMeasureValidation:
 
 
 class TestSampleGrid:
-    def _check(self, mu, counts):
-        grid = mu.sample_grid(counts)
-        assert grid.size == int(np.sum(np.broadcast_to(counts, (mu.piece_count,)))) + 1
+    def _check(self, mu, n):
+        grid = mu.sample_grid(n)
+        assert grid.size == mu.piece_count * n + 1
         assert np.all(np.diff(grid) > 0.0)
         assert set(float(t) for t in mu.breakpoints) <= set(grid.tolist())
 
@@ -221,17 +221,17 @@ class TestSampleGrid:
         self._check(cantor(THIRD, 3), n)
 
     @settings(max_examples=30, deadline=None)
-    @given(piecewise_measures(), st.data())
-    def test_one_count_per_piece(self, mu, data):
-        counts = data.draw(
-            st.lists(st.integers(1, 9), min_size=mu.piece_count, max_size=mu.piece_count)
-        )
-        self._check(mu, counts)
+    @given(piecewise_measures(), st.integers(1, 9))
+    def test_one_count_per_piece(self, mu, n):
+        self._check(mu, n)
 
     def test_interior_points_split_each_piece_evenly(self):
         mu = Measure.from_pieces([0, Fraction(1, 4), 1], [2, Fraction(2, 3)])
-        assert mu.sample_grid([2, 3]).tolist() == [0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
+        assert mu.sample_grid(2).tolist() == [0.0, 0.125, 0.25, 0.625, 1.0]
+        assert mu.sample_grid(4).tolist() == [
+            0.0, 0.0625, 0.125, 0.1875, 0.25, 0.4375, 0.625, 0.8125, 1.0,
+        ]
 
     def test_empty_piece_rejected(self):
         with pytest.raises(DomainError):
-            cantor(HALF, 1).sample_grid([1, 0, 1])
+            cantor(HALF, 1).sample_grid(0)

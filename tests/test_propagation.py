@@ -15,6 +15,7 @@ from kreinfeller import series as se
 
 from conftest import cantor, piecewise_measures
 
+FAMILIES = ("sp", "cp", "sq", "cq")
 HALF = WeightVector.of(Fraction(1, 2))
 THIRD = WeightVector.of(Fraction(1, 3))
 
@@ -51,39 +52,34 @@ class TestAgainstSeries:
 
     @pytest.mark.parametrize("z", [0.25, 1.0, 2.5, 5.0])
     def test_boundary_values_agree(self, table, z):
-        mu = table.measure
-        r = boundary_values(mu, z)
-        for got, series_fun in ((r.sp, se.sinp), (r.sq, se.sinq), (r.cp, se.cosp), (r.cq, se.cosq)):
-            val, tail = series_fun(table, z)
-            assert abs(got - val) <= 1e-12 + tail
+        r = boundary_values(table.measure, z)
+        for f in FAMILIES:
+            val, tail = se.value(table, f, z)
+            assert abs(getattr(r, f) - val) <= 1e-12 + tail
 
     @pytest.mark.parametrize("z", [0.25, 1.0, 2.5, 5.0])
     def test_derivatives_agree(self, table, z):
-        mu = table.measure
-        r = boundary_values(mu, z)
-        for got, series_fun in ((r.sp_prime, se.sinp_prime), (r.sq_prime, se.sinq_prime),
-                                (r.cp_prime, se.cosp_prime), (r.cq_prime, se.cosq_prime)):
-            val, tail = series_fun(table, z)
-            assert abs(got - val) <= 1e-12 + tail
+        r = boundary_values(table.measure, z)
+        for f in FAMILIES:
+            val, tail = se.derivative(table, f, z)
+            assert abs(getattr(r, f + "_prime") - val) <= 1e-12 + tail
 
     def test_grid_eval_agrees(self, table):
-        mu = table.measure
         z = 3.0
         xs = np.linspace(0, 1, 23)
-        cp = eval_on_grid(mu, z, xs, "cp")
-        sq = eval_on_grid(mu, z, xs, "sq")
-        for i, x in enumerate(xs):
-            assert cp[i] == pytest.approx(se.cp_eval(table, z, float(x))[0], abs=1e-12)
-            assert sq[i] == pytest.approx(se.sq_eval(table, z, float(x))[0], abs=1e-12)
+        for f in FAMILIES:
+            got = eval_on_grid(table.measure, z, xs, f)
+            for i, x in enumerate(xs):
+                assert got[i] == pytest.approx(se.value_at(table, f, z, float(x))[0], abs=1e-12)
 
     @given(mu=piecewise_measures(), z=st.floats(min_value=0.0, max_value=6.0))
     @settings(max_examples=25, deadline=None)
     def test_random_measures_agree(self, mu, z):
         table = se.build_table(mu, 30)
         r = boundary_values(mu, z)
-        val, tail = se.sinp(table, z)
+        val, tail = se.value(table, "sp", z)
         assert abs(r.sp - val) <= 1e-10 + tail
-        val, tail = se.cosq(table, z)
+        val, tail = se.value(table, "cq", z)
         assert abs(r.cq - val) <= 1e-10 + tail
 
 

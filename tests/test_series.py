@@ -19,24 +19,18 @@ from kreinfeller.measures import WeightVector
 from kreinfeller.series import (
     TrigTable,
     build_table,
-    cosp,
-    cosp_prime,
-    cosq,
-    cosq_prime,
-    cp_eval,
     default_order,
+    derivative,
     null_sum_plain,
     null_sum_weighted,
-    sinp,
-    sinp_prime,
-    sinq,
-    sinq_prime,
-    sq_eval,
+    value,
+    value_at,
     _factorial_tail,
 )
 
 from conftest import cantor, piecewise_measures
 
+FAMILIES = ("sp", "cp", "sq", "cq")
 HALF = WeightVector.of(Fraction(1, 2))
 THIRD = WeightVector.of(Fraction(1, 3))
 
@@ -113,51 +107,51 @@ class TestBuildTable:
 
 class TestLebesgueSpecialization:
     def test_sinp_at_pi_vanishes(self, leb_table):
-        val, tail = sinp(leb_table, math.pi)
+        val, tail = value(leb_table, "sp", math.pi)
         assert abs(val) <= 1e-12 + tail
 
     def test_all_four_match_sin_cos_up_to_twelve(self, leb_table):
         for z in np.linspace(0.0, 12.0, 97):
-            for fun, ref in ((sinp, math.sin), (sinq, math.sin), (cosp, math.cos), (cosq, math.cos)):
-                val, tail = fun(leb_table, float(z))
+            for family, ref in (("sp", math.sin), ("sq", math.sin), ("cp", math.cos), ("cq", math.cos)):
+                val, tail = value(leb_table, family, float(z))
                 assert abs(val - ref(z)) <= 1e-10 + tail
 
     def test_primes_match_cos_sin(self, leb_table):
         for z in np.linspace(0.0, 12.0, 49):
-            val, tail = sinp_prime(leb_table, float(z))
+            val, tail = derivative(leb_table, "sp", float(z))
             assert abs(val - math.cos(z)) <= 1e-10 + tail
-            val, tail = cosp_prime(leb_table, float(z))
+            val, tail = derivative(leb_table, "cp", float(z))
             assert abs(val - (-math.sin(z))) <= 1e-10 + tail
 
     def test_cp_eval_matches_cosine(self, leb_table):
         z = 3 * math.pi
         for x in np.linspace(0, 1, 25):
-            val, tail = cp_eval(leb_table, z, float(x))
+            val, tail = value_at(leb_table, "cp", z, float(x))
             assert abs(val - math.cos(z * x)) <= 1e-10 + tail
 
 
 class TestEvaluationAtZero:
     def test_sines_vanish(self, mu1_table):
-        assert sinp(mu1_table, 0.0)[0] == 0.0
-        assert sinq(mu1_table, 0.0)[0] == 0.0
+        assert value(mu1_table, "sp", 0.0)[0] == 0.0
+        assert value(mu1_table, "sq", 0.0)[0] == 0.0
 
     def test_cosines_are_one(self, mu1_table):
-        assert cosp(mu1_table, 0.0)[0] == 1.0
-        assert cosq(mu1_table, 0.0)[0] == 1.0
+        assert value(mu1_table, "cp", 0.0)[0] == 1.0
+        assert value(mu1_table, "cq", 0.0)[0] == 1.0
 
     def test_sinp_prime_at_zero_is_mass(self, mu1_table):
-        val, _ = sinp_prime(mu1_table, 0.0)
+        val, _ = derivative(mu1_table, "sp", 0.0)
         assert val == pytest.approx(mu1_table.p_one[1], abs=1e-15)
 
 
 class TestOracleValues:
     def test_sinp_level1_at_two(self, mu1_table):
-        val, tail = sinp(mu1_table, 2.0)
+        val, tail = value(mu1_table, "sp", 2.0)
         assert tail < 1e-12
         assert val == pytest.approx(SP_AT_2_LEVEL1_HALF, abs=1e-9)
 
     def test_cosq_level1_at_one(self, mu1_table):
-        val, tail = cosq(mu1_table, 1.0)
+        val, tail = value(mu1_table, "cq", 1.0)
         assert tail < 1e-12
         assert val == pytest.approx(CQ_AT_1_LEVEL1_HALF, abs=1e-9)
 
@@ -166,7 +160,7 @@ class TestCertificates:
     def test_tail_dominates_explicit_partial_tail(self, mu2_table):
         z = 4.0
         q2 = mu2_table.q_one[2]
-        _, tail = sinp(mu2_table, z)
+        _, tail = value(mu2_table, "sp", z)
         explicit = sum(z ** (2 * n + 1) * q2**n / math.factorial(n)
                        for n in range(mu2_table.order + 1, mu2_table.order + 60))
         assert tail >= explicit
@@ -195,41 +189,51 @@ class TestCertificates:
 
 
 class TestDerivatives:
-    @pytest.mark.parametrize("fun,dfun", [
-        (sinp, sinp_prime), (sinq, sinq_prime), (cosp, cosp_prime), (cosq, cosq_prime),
-    ])
-    def test_matches_central_difference(self, mu1_table, fun, dfun):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_central_difference(self, mu1_table, family):
         h = 1e-5
         for z in (0.5, 1.0, 2.0, 3.0, 5.0):
-            fd = (fun(mu1_table, z + h)[0] - fun(mu1_table, z - h)[0]) / (2 * h)
-            val, _ = dfun(mu1_table, z)
+            fd = (value(mu1_table, family, z + h)[0] - value(mu1_table, family, z - h)[0]) / (2 * h)
+            val, _ = derivative(mu1_table, family, z)
             assert val == pytest.approx(fd, abs=1e-6)
 
     def test_mu1_sinp_prime_at_three_tight(self, mu1_table):
         h = 1e-5
-        fd = (sinp(mu1_table, 3.0 + h)[0] - sinp(mu1_table, 3.0 - h)[0]) / (2 * h)
-        assert sinp_prime(mu1_table, 3.0)[0] == pytest.approx(fd, abs=1e-7)
+        fd = (value(mu1_table, "sp", 3.0 + h)[0] - value(mu1_table, "sp", 3.0 - h)[0]) / (2 * h)
+        assert derivative(mu1_table, "sp", 3.0)[0] == pytest.approx(fd, abs=1e-7)
 
 
 class TestPointEvaluation:
     def test_boundary_values(self, mu2_table):
-        assert cp_eval(mu2_table, 3.3, 0.0)[0] == 1.0
-        assert sq_eval(mu2_table, 3.3, 0.0)[0] == 0.0
+        assert value_at(mu2_table, "cp", 3.3, 0.0)[0] == 1.0
+        assert value_at(mu2_table, "sq", 3.3, 0.0)[0] == 0.0
 
     def test_matches_one_endpoint_series(self, mu1_table):
         z = 2.0
-        assert cp_eval(mu1_table, z, 1.0)[0] == pytest.approx(cosp(mu1_table, z)[0], abs=1e-13)
-        assert sq_eval(mu1_table, z, 1.0)[0] == pytest.approx(sinq(mu1_table, z)[0], abs=1e-13)
+        for family in FAMILIES:
+            assert value_at(mu1_table, family, z, 1.0)[0] == pytest.approx(
+                value(mu1_table, family, z)[0], abs=1e-13
+            )
 
     def test_domain_error(self, mu1_table):
         for x in (1.5, float("nan")):
             with pytest.raises(DomainError):
-                cp_eval(mu1_table, 1.0, x)
+                value_at(mu1_table, "cp", 1.0, x)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda t, family: value(t, family, 1.0),
+        lambda t, family: derivative(t, family, 1.0),
+        lambda t, family: value_at(t, family, 1.0, 0.5),
+    ], ids=["value", "derivative", "value_at"])
+    def test_unknown_family_rejected(self, mu1_table, evaluate):
+        for family in ("sinp", "cos", ""):
+            with pytest.raises(DomainError):
+                evaluate(mu1_table, family)
 
 
 class TestNullSums:
     def test_vanish_at_lebesgue_eigenvalues(self, leb_table):
-        # zeros of sinp are z = m*pi for Lebesgue; z kept small enough that
+        # zeros of sp_z(1) are z = m*pi for Lebesgue; z kept small enough that
         # the alternating Cauchy sums stay in float range (growth ~ e^{2z})
         for m in (1, 2):
             lam = (m * math.pi) ** 2

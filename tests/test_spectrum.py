@@ -106,12 +106,12 @@ class TestMeasureOnlySolve:
         # the scan grid depends on q2(1); any last-bit change moves root digits
         for w in STANDARD_WEIGHTS:
             mu = cantor_approximant(CantorLevel(w, level))
-            assert _q2_at_one(mu) == build_table(mu, 2).q2_at_one
+            assert _q2_at_one(mu) == build_table(mu, 2).q_one[2]
 
     @settings(max_examples=40, deadline=None)
     @given(piecewise_measures())
     def test_q2_at_one_matches_table_on_random_measures(self, mu):
-        assert _q2_at_one(mu) == build_table(mu, 2).q2_at_one
+        assert _q2_at_one(mu) == build_table(mu, 2).q_one[2]
 
     def test_table_argument_stands_for_its_measure(self):
         mu = cantor(F(2, 5), F(3, 5), 3)
@@ -126,7 +126,7 @@ class TestCertifiedBrackets:
     def test_bracket_ends_carry_a_certified_sign_change(self, level):
         """Each end's boundary value exceeds its own err_est and the two signs
         differ.  This certifies relative to err_est, the propagation's rounding
-        estimate, which is not yet a proven bound (ROADMAP.md, direction 3)."""
+        estimate, which is not yet a proven bound (ROADMAP.md, direction 5(a))."""
         for w in STANDARD_WEIGHTS:
             mu = cantor_approximant(CantorLevel(w, level))
             for boundary, count in (("neumann", 9), ("dirichlet", 8)):
