@@ -404,8 +404,6 @@ def _run_eigfun(cfg: RunConfig):
     xs = mu.sample_grid(cfg.x_points).tolist()
     columns = [xs]
     for m in cfg.m_list:
-        if m not in by_index:
-            raise ConfigError(f"index {m} not available for boundary {cfg.boundary}")
         ef = eigenfunction(mu, by_index[m])
         columns.append(eigenfunction_eval(ef, xs, normalized=cfg.normalized).tolist())
     header = ("x", *(f"f_{cfg.boundary[0]}_{m}" for m in cfg.m_list))

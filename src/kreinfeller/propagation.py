@@ -15,11 +15,11 @@ length h by the same map: with k = z sqrt(d), c = cos(kh), s = sin(kh),
 
 :func:`_sweep` is the one loop that applies this map, piece by piece, to
 one column and its exact z-derivative, recording the column at every
-breakpoint.  Everything else reads that record: :func:`boundary_values`
-takes the last entry of each column, :func:`eval_on_grid` applies a
-partial-length step to the entry state of each point's piece, and
-:func:`zero_count` counts the zeros of u piece by piece from the phase of
-the same map.
+breakpoint; it raises :class:`PrecisionError` if the column overflows.
+:func:`boundary_values` takes the last entry of each column, and
+:func:`eval_on_grid` applies a partial-length step to the entry state of
+each point's piece.  :func:`zero_count` needs no magnitudes: it carries
+the column's Prüfer angle, which passes a multiple of pi at each zero of u.
 
 This route evaluates the same functions as the truncated series but
 with per-piece closed forms: no truncation, no alternating-sum
@@ -35,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .measures import Measure
 
 _EPS = 2.220446049250313e-16
+_HALF_PI = 0.5 * math.pi
 
 # family -> (column, component): column 0 is (cp, -sp), column 1 is (sq, cq)
 _FAMILIES = {"cp": (0, 0), "sp": (0, 1), "sq": (1, 0), "cq": (1, 1)}
@@ -86,6 +87,12 @@ def _sweep(mu: Measure, z: float, column: int):
         amp = max(amp, abs(u), abs(v))
         us.append(u)
         vs.append(v)
+    if not math.isfinite(amp + du + dv):
+        reached = max(abs(t) for t in us + vs if math.isfinite(t))
+        raise PrecisionError(
+            f"the solution column overflows float64 at z={z!r} after reaching "
+            f"magnitude {reached:.3g}"
+        )
     return us, vs, du, dv, amp
 
 
@@ -100,14 +107,6 @@ def boundary_values(mu: Measure, z: float) -> PropagationResult:
     )
 
 
-def _column(mu: Measure, z: float, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """The column holding ``family`` at every breakpoint, as arrays (u, v)."""
-    if family not in _FAMILIES:
-        raise DomainError(f"unknown function family {family!r}")
-    us, vs = _sweep(mu, z, _FAMILIES[family][0])[:2]
-    return np.array(us), np.array(vs)
-
-
 def eval_on_grid(mu: Measure, z: float, xs, family: str) -> np.ndarray:
     """Evaluate one of cp, sp, sq, cq at arbitrary points in [0,1].
 
@@ -118,14 +117,17 @@ def eval_on_grid(mu: Measure, z: float, xs, family: str) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise DomainError("evaluation points outside [0,1]")
-    us, vs = _column(mu, z, family)
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown function family {family!r}")
+    column, component = _FAMILIES[family]
+    us, vs = map(np.array, _sweep(mu, z, column)[:2])
     i = np.minimum(np.searchsorted(mu._bp[1:], xs), mu.piece_count - 1)
     u, v, hs, d = us[i], vs[i], xs - mu._bp[i], mu._dens[i]
     m = d > 0.0
     rd = np.sqrt(d[m])
     kh = z * rd * hs[m]
     c, s = np.cos(kh), np.sin(kh)
-    if _FAMILIES[family][1] == 0:
+    if component == 0:
         out = u + z * v * hs
         out[m] = u[m] * c + v[m] * s / rd
     else:
@@ -135,35 +137,28 @@ def eval_on_grid(mu: Measure, z: float, xs, family: str) -> np.ndarray:
 
 
 def zero_count(mu: Measure, z: float, family: str) -> int:
-    """Number of zeros in (0, 1] of ``cp`` or ``sq`` at z > 0, in closed form.
+    """Number of zeros in (0, 1] of ``cp`` or ``sq`` at z > 0, from the Prüfer angle.
 
-    On a piece with density d > 0 the column's u is
-    R sin(phi + z sqrt(d) s) / sqrt(d), with phi = atan2(sqrt(d) u, v) at the
-    piece's entry, so its zeros in (0, h] are the multiples of pi in
-    (phi, phi + z sqrt(d) h].  The integer index of each end (the floor of the
-    angle over pi) is held to the sign of the propagated value there, so
-    rounding at a breakpoint never counts a zero twice or drops it.  On a
-    massless piece u is linear and has a zero iff it changes sign.
-    For ``sq`` the count is #{m : z_m < z} over the Dirichlet roots z_m, so
-    a Dirichlet eigenfunction's zeros are counted at its certified bracket's
-    upper end, where u(1) is away from zero, not at the root itself.
+    The loop carries the branch integer n and the angle phi in [-pi/2, pi/2]
+    of the column (u, v), with u = 0 exactly when Theta = n pi + phi is in
+    pi Z.  Theta starts at pi/2 (``cp``) or 0 (``sq``).  A piece of density
+    d > 0 turns (sqrt(d) u, v) by z sqrt(d) h; a massless piece keeps v and
+    so keeps phi in its branch.  Theta crosses pi Z upwards only, so the
+    count is floor(Theta(1) / pi) = n - [phi < 0].  Whether x = 1 counts is
+    decided by the rounded final angle, so callers count where the function
+    is clearly nonzero at x = 1: for ``sq`` the count is #{m : z_m < z} over
+    the Dirichlet roots z_m.
     """
     if family not in ("cp", "sq"):
         raise DomainError(f"zero counts are for cp or sq, got {family!r}")
-    us, vs = _column(mu, z, family)
-    u, v, u_exit = us[:-1], vs[:-1], us[1:]
-    m = mu._dens > 0.0
-    # massless pieces: a zero in (0, h] is a sign change or a zero at the exit
-    gap, gap_exit = u[~m], u_exit[~m]
-    zeros = int(np.sum((gap_exit == 0.0) | (np.sign(gap) * np.sign(gap_exit) < 0.0)))
-    u, v, u_exit = u[m], v[m], u_exit[m]
-    rd = np.sqrt(mu._dens[m])
-    phi = np.arctan2(rd * u, v)
-    theta = (phi + z * rd * np.diff(mu._bp)[m]) / math.pi
-    entry = np.where(u > 0.0, 0.0, np.where(u < 0.0, -1.0, np.floor(phi / math.pi)))
-    exit_ = np.floor(theta)
-    # the exit index is even exactly where the value there is positive
-    off = (u_exit != 0.0) & ((exit_ % 2 == 1) == (u_exit > 0.0))
-    exit_ = np.where(off, exit_ + np.where(theta - exit_ > 0.5, 1.0, -1.0), exit_)
-    exit_ = np.where(u_exit == 0.0, np.round(theta), exit_)
-    return zeros + int(np.sum(exit_ - entry))
+    n, phi = 0, (_HALF_PI if family == "cp" else 0.0)
+    for h, d, rd in mu._piece_table:
+        if d > 0.0:
+            psi = math.atan2(rd * math.sin(phi), math.cos(phi)) + z * rd * h
+            k = math.floor((psi + _HALF_PI) / math.pi)
+            n, psi = n + k, psi - k * math.pi
+            phi = math.atan2(math.sin(psi) / rd, math.cos(psi))
+        else:
+            c = math.cos(phi)
+            phi = math.atan2(math.sin(phi) + z * h * c, c)
+    return n - (phi < 0.0)

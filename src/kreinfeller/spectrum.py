@@ -17,7 +17,8 @@ The scan-and-refine strategy:
   "Measured"; direction 2 there proves each index by :func:`count_zeros`),
 * refine each certified sign change with Brent's method,
 * re-certify a tight bracket around the refined root whose endpoint values
-  exceed their rounding estimates with opposite signs.
+  exceed their rounding estimates with opposite signs, or raise
+  :class:`PrecisionError`.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ def _certify_bracket(
 
     Certified means each endpoint value exceeds its own rounding estimate, so
     the sign is unambiguous even after widening the value by that estimate.
+    Raises :class:`PrecisionError` if no bracket inside (lo0, hi0) is certified.
     """
     delta = max(1e-14 * max(1.0, z_root), 4.0 * math.ulp(z_root))
     while delta < (hi0 - lo0) / 2.0:
@@ -139,8 +141,10 @@ def _certify_bracket(
         if v_lo * v_hi < 0.0 and abs(v_lo) > e_lo and abs(v_hi) > e_hi:
             return lo, hi
         delta *= 4.0
-    # fall back to the scan bracket, which already carried a raw sign change
-    return lo0, hi0
+    raise PrecisionError(
+        f"no bracket around the root z={z_root!r} has endpoint values beyond "
+        "their rounding estimates"
+    )
 
 
 def record_count(boundary: str, m: int) -> int:
@@ -362,12 +366,13 @@ def count_zeros(ef: Eigenfunction) -> int:
     """Number of zeros: Neumann counts the zeros strictly inside (0,1);
     Dirichlet counts the interior zeros plus the two boundary zeros.
 
-    Counted in closed form from the propagation sweep by
-    :func:`kreinfeller.propagation.zero_count`; no sampling.  Neumann counts
-    at the root, where cp(1) is nonzero.  Dirichlet counts at the certified
-    bracket's upper end, where sq(1) is certified nonzero and the zero at
-    x = 1 has just moved inside: at the root itself, rounding the final angle
-    of a tail that decays towards x = 1 can add a spurious zero.
+    Counted from the Prüfer angle by
+    :func:`kreinfeller.propagation.zero_count`: no sampling and no
+    magnitudes, so it holds at any z.  That count decides x = 1 by the
+    rounded final angle, so each side counts where its function is nonzero
+    at x = 1: Neumann at the root, where cp(1) is nonzero, and Dirichlet at
+    the certified bracket's upper end, where sq(1) is certified nonzero and
+    the zero at x = 1 has just moved inside.
     """
     rec = ef.record
     if rec.boundary == NEUMANN:

@@ -516,6 +516,18 @@ class TestExitCodesSubprocess:
         err = json.loads(proc.stderr.decode("utf-8"))
         assert err["error"] == "BracketError"
 
+    def test_overflow_is_a_precision_error(self):
+        # the solution column overflows float64 past z ~ 8e3 at this level
+        proc = run_cli(["sincurve", "--w", "1/3", "--level", "10", "--level-cap", "10",
+                        "--z-max", "20000", "--z-points", "5"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        lines = proc.stderr.decode("utf-8").splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["exit_code"]) == ("PrecisionError", 3)
+        assert "z=10000.0" in err["message"]
+
     def test_resource_error_is_four(self):
         proc = run_cli(["eigvals", "--level", "11"])
         assert proc.returncode == 4

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinfeller.errors import DomainError
+from kreinfeller.errors import DomainError, PrecisionError
 from kreinfeller.measures import Measure, WeightVector
-from kreinfeller.propagation import boundary_values, eval_on_grid
+from kreinfeller.propagation import boundary_values, eval_on_grid, zero_count
 from kreinfeller import series as se
 
 from conftest import cantor, piecewise_measures
@@ -183,3 +183,41 @@ class TestConservationLaw:
         assert r.err_est <= 1e-11 * amp
         assert all(map(math.isfinite, (r.sp, r.cp, r.sq, r.cq,
                                        r.sp_prime, r.cp_prime, r.sq_prime, r.cq_prime)))
+
+    def test_overflow_is_a_precision_error(self):
+        mu = cantor(THIRD, 10)
+        with pytest.raises(PrecisionError, match="z=20000.0"):
+            boundary_values(mu, 2e4)
+        with pytest.raises(PrecisionError):
+            eval_on_grid(mu, 2e4, [0.5], "sq")
+
+
+class TestZeroCount:
+    """Zeros in (0, 1] counted from the carried Prüfer angle."""
+
+    def test_holds_where_magnitudes_overflow(self):
+        # the column overflows float64 from z ~ 8e3 on at this level (see
+        # test_overflow_is_a_precision_error); the angle does not
+        mu = cantor(THIRD, 10)
+        counts = [zero_count(mu, float(z), "sq") for z in np.geomspace(1.0, 1e5, 61)]
+        assert all(type(c) is int for c in counts)
+        assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("pieces", [2, 8, 12])
+    def test_lebesgue_in_pieces(self, pieces):
+        # sin(zx) has floor(z/pi) zeros in (0, 1], cos(zx) has floor(z/pi + 1/2)
+        mu = Measure(tuple(Fraction(j, pieces) for j in range(pieces + 1)), (Fraction(1),) * pieces)
+        checked = 0
+        for z in np.geomspace(0.1, 1e6, 400).tolist():
+            t = z / math.pi
+            if abs(2 * t - round(2 * t)) < 1e-3:
+                continue  # a root of sin or cos at x = 1
+            assert zero_count(mu, z, "sq") == math.floor(t)
+            assert zero_count(mu, z, "cp") == math.floor(t + 0.5)
+            checked += 1
+        assert checked > 390
+
+    def test_other_families_rejected(self):
+        for family in ("sp", "cq", "sinp"):
+            with pytest.raises(DomainError):
+                zero_count(cantor(HALF, 2), 3.0, family)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kreinfeller.errors import DomainError
-from kreinfeller.measures import WeightVector
+from kreinfeller.measures import Measure, WeightVector
 from kreinfeller.series import (
     TrigTable,
     build_table,
@@ -186,6 +186,60 @@ class TestCertificates:
                 prev = (2 * n + 1) * math.log(z) - math.lgamma(n + 1)
                 assert prev >= math.log(1e-15)
         assert default_order(2.0) <= default_order(5.0) <= default_order(12.0)
+
+
+# family -> (odd, coefficient sequence), from the series definitions above
+_TERMS = {"sp": (True, "p"), "cp": (False, "p"), "sq": (True, "q"), "cq": (False, "q")}
+_EXTRA = 40
+
+
+def _skewed(left: bool) -> Measure:
+    """Mass 99/100 on an end piece of width 1/100: at the left end p2(1) = 0.99
+    and q2(1) = 0.01, at the right end the reverse."""
+    a, m = (Fraction(1, 100), Fraction(99, 100)) if left else (Fraction(99, 100), Fraction(1, 100))
+    return Measure((Fraction(0), a, Fraction(1)), (m / a, (1 - m) / (1 - a)))
+
+
+def _dropped(coeffs, family: str, z: float, order: int, derivative: bool) -> float:
+    """Sum of |terms| a truncation at ``order`` drops, from coefficients
+    ``coeffs`` of a table ``_EXTRA`` orders deeper."""
+    odd, _ = _TERMS[family]
+    total = 0.0
+    for n in range(order + 1, order + _EXTRA + 1):
+        k = 2 * n + odd
+        total += (k * z ** (k - 1) if derivative else z**k) * coeffs[k]
+    return total
+
+
+class TestTailsCoverDroppedTerms:
+    """Every family's tail bound, from value, derivative and value_at, covers
+    the terms the truncation drops, summed explicitly.  The measures make
+    p2(1) and q2(1) differ by a factor of 99, so a cp or cq tail built on the
+    wrong one of them falls short."""
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["mass-left", "mass-right"])
+    def tables(self, request):
+        mu = _skewed(request.param)
+        return {n: build_table(mu, n) for n in (1, 2, 3)}, build_table(mu, 3 + _EXTRA)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_at_one(self, tables, family):
+        short, deep = tables
+        coeffs = getattr(deep, _TERMS[family][1] + "_one")
+        for order, table in short.items():
+            for z in (0.5, 1.0, 2.0, 4.0):
+                assert _dropped(coeffs, family, z, order, False) <= value(table, family, z)[1]
+                assert _dropped(coeffs, family, z, order, True) <= derivative(table, family, z)[1]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_at_x(self, tables, family):
+        short, deep = tables
+        funs = getattr(deep, _TERMS[family][1] + "_fun")
+        for x in (0.005, 0.5, 1.0):
+            coeffs = [float(f.eval_many(np.array([x]))[0]) for f in funs]
+            for order, table in short.items():
+                for z in (0.5, 1.0, 2.0, 4.0):
+                    assert _dropped(coeffs, family, z, order, False) <= value_at(table, family, z, x)[1]
 
 
 class TestDerivatives:

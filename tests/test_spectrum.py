@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from conftest import STANDARD_WEIGHTS, piecewise_measures, weight_vectors
 from kreinfeller.errors import BracketError, ConfigError, DomainError, PrecisionError
 from kreinfeller.measures import CantorLevel, Measure, WeightVector, cantor_approximant
-from kreinfeller.propagation import boundary_values
+from kreinfeller.propagation import boundary_values, zero_count
 from kreinfeller.series import build_table, null_sum_plain, null_sum_weighted
 from kreinfeller.spectrum import (
+    _certify_bracket,
     _q2_at_one,
     count_zeros,
     eigenfunction,
@@ -285,6 +286,25 @@ class TestZeroCountAgainstSampler:
         _assert_zero_counts_match_sampler(mu)
 
 
+@pytest.mark.parametrize("level", [2, 4, 6])
+@pytest.mark.parametrize("w", STANDARD_WEIGHTS, ids=str)
+def test_counts_at_certified_bracket_ends(w, level):
+    # the rounded final angle decides whether x = 1 counts, so the count is
+    # read where the function is certified nonzero there.  sq(1) changes sign
+    # once across a Dirichlet bracket, so the count steps by one across it;
+    # cp(1) keeps its sign across a Neumann bracket, so the count holds.
+    # (Whether the step lands on the record's index is the solver's index
+    # law, which skips roots at w = 1/2, Dirichlet, m >= 7: ROADMAP direction 2.)
+    mu = cantor_approximant(CantorLevel(w, level))
+    below = 0
+    for rec in find_eigenvalues(mu, "dirichlet", 8):
+        lo, hi = zero_count(mu, rec.bracket_lo, "sq"), zero_count(mu, rec.bracket_hi, "sq")
+        assert hi == lo + 1 and lo >= below
+        below = hi
+    for rec in find_eigenvalues(mu, "neumann", 9)[1:]:
+        assert len({zero_count(mu, z, "cp") for z in (rec.bracket_lo, rec.z, rec.bracket_hi)}) == 1
+
+
 def test_w3_7_level4_dirichlet_m16_follows_the_index_law():
     mu = cantor(F(3, 7), F(4, 7), 4)
     rec = find_eigenvalues(mu, "dirichlet", 16)[-1]
@@ -450,6 +470,14 @@ class TestErrorPaths:
             find_eigenvalues(LEBESGUE, "neumann", 2, tol=1.0)
         with pytest.raises(ConfigError):
             find_eigenvalues(LEBESGUE, "neumann", 2, tol=0.0)
+
+    def test_uncertifiable_bracket_raises(self):
+        # a boundary value that never clears its rounding estimate near the root
+        def fn(z):
+            return z - 1.0, 1.0, 1.0
+
+        with pytest.raises(PrecisionError, match="z=1.0"):
+            _certify_bracket(fn, 1.0, 0.5, 1.5)
 
     def test_norm_identity_rejects_non_roots(self):
         rec = find_eigenvalues(LEBESGUE, "neumann", 2)[1]
