@@ -47,6 +47,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -170,8 +171,10 @@ class RunConfig:
             raise ConfigError(f"m list repeats an index: {','.join(map(str, self.m_list))}")
         if self.order < 2:
             raise ConfigError(f"order must be >= 2, got {self.order}")
-        if self.z_max <= 0:
-            raise ConfigError(f"z-max must be positive, got {self.z_max}")
+        if not (0 < self.z_max < math.inf):
+            raise ConfigError(f"z-max must be positive and finite, got {self.z_max}")
+        if not (0 < self.scan_ceiling < math.inf):
+            raise ConfigError(f"scan-ceiling must be positive and finite, got {self.scan_ceiling}")
         if self.z_points < 2:
             raise ConfigError(f"z-points must be >= 2, got {self.z_points}")
         if self.x_points < 1:

@@ -13,10 +13,10 @@ length h by the same map: with k = z sqrt(d), c = cos(kh), s = sin(kh),
     u, v  <-  u c + v s / sqrt(d),  v c - u sqrt(d) s      (d > 0)
     u     <-  u + z v h                                     (d = 0)
 
-:func:`_sweep` is the one loop that applies this map, piece by piece, to
-one column and its exact z-derivative, recording the column at every
-breakpoint; it raises :class:`PrecisionError` if the column overflows.
-:func:`boundary_values` takes the last entry of each column, and
+:func:`boundary_values` applies this map to both columns and their exact
+z-derivatives in one pass, computing each piece's cos and sin once; it
+raises :class:`PrecisionError` if a column overflows.  :func:`_sweep`
+carries one column's values alone and records them at every breakpoint:
 :func:`eval_on_grid` applies a partial-length step to the entry state of
 each point's piece.  :func:`zero_count` needs no magnitudes: it carries
 the column's Prüfer angle, which passes a multiple of pi at each zero of u.
@@ -63,48 +63,89 @@ class PropagationResult:
 
 
 def _sweep(mu: Measure, z: float, column: int):
-    """Carry one column (u, v) and its z-derivative across every piece.
-
-    Returns the lists of u and v at the K + 1 breakpoints, the z-derivatives
-    (du, dv) at x = 1 and the largest |u|, |v| met (at least 1).
-    """
+    """Carry one column (u, v) across every piece; its values at the K + 1 breakpoints."""
     u, v = _START[column]
-    du = dv = 0.0
-    amp = 1.0
     us, vs = [u], [v]
     for h, d, rd in mu._piece_table:
         if d > 0.0:
             kh = z * rd * h
             c, s = math.cos(kh), math.sin(kh)
-            u, v, du, dv = (
-                u * c + v * s / rd,
-                v * c - u * rd * s,
-                du * c + dv * s / rd + h * (v * c - u * rd * s),
-                dv * c - du * rd * s - h * (u * d * c + v * rd * s),
-            )
+            u, v = u * c + v * s / rd, v * c - u * rd * s
         else:
-            u, du = u + z * v * h, du + h * (v + z * dv)
-        amp = max(amp, abs(u), abs(v))
+            u = u + z * v * h
         us.append(u)
         vs.append(v)
-    if not math.isfinite(amp + du + dv):
-        reached = max(abs(t) for t in us + vs if math.isfinite(t))
-        raise PrecisionError(
-            f"the solution column overflows float64 at z={z!r} after reaching "
-            f"magnitude {reached:.3g}"
-        )
-    return us, vs, du, dv, amp
+    return us, vs
+
+
+def _overflow(z: float, us, vs) -> PrecisionError:
+    """The error for a column that overflowed, naming its largest finite entry."""
+    reached = max(abs(t) for t in us + vs if math.isfinite(t))
+    return PrecisionError(
+        f"the solution column overflows float64 at z={z!r} after reaching "
+        f"magnitude {reached:.3g}"
+    )
 
 
 def boundary_values(mu: Measure, z: float) -> PropagationResult:
-    """Propagate values and z-derivatives of all four functions to x = 1."""
-    cps, msps, dcp, dmsp, amp_p = _sweep(mu, z, 0)
-    sqs, cqs, dsq, dcq, amp_q = _sweep(mu, z, 1)
-    err = 8.0 * _EPS * max(amp_p, amp_q) * (len(mu.densities) + abs(z) + 4.0)
+    """Propagate values and z-derivatives of all four functions to x = 1.
+
+    One pass carries both columns, (cp, -sp) as (u0, v0) and (sq, cq) as
+    (u1, v1), with their z-derivatives; each massive piece's cos and sin
+    serve both.  The running amplitude of column j is max(hi_j, -lo_j).  No
+    step maps an inf or nan back to a finite number, so the final state
+    shows any overflow on the way.
+    """
+    cos, sin = math.cos, math.sin
+    u0, v0, u1, v1 = 1.0, 0.0, 0.0, 1.0
+    du0 = dv0 = du1 = dv1 = 0.0
+    hi0 = hi1 = 1.0
+    lo0 = lo1 = -1.0
+    for h, d, rd in mu._piece_table:
+        if d > 0.0:
+            kh = z * rd * h
+            c, s = cos(kh), sin(kh)
+            n0 = v0 * c - u0 * rd * s
+            n1 = v1 * c - u1 * rd * s
+            u0, v0, du0, dv0 = (
+                u0 * c + v0 * s / rd,
+                n0,
+                du0 * c + dv0 * s / rd + h * n0,
+                dv0 * c - du0 * rd * s - h * (u0 * d * c + v0 * rd * s),
+            )
+            u1, v1, du1, dv1 = (
+                u1 * c + v1 * s / rd,
+                n1,
+                du1 * c + dv1 * s / rd + h * n1,
+                dv1 * c - du1 * rd * s - h * (u1 * d * c + v1 * rd * s),
+            )
+            if v0 > hi0:
+                hi0 = v0
+            elif v0 < lo0:
+                lo0 = v0
+            if v1 > hi1:
+                hi1 = v1
+            elif v1 < lo1:
+                lo1 = v1
+        else:
+            u0, du0 = u0 + z * v0 * h, du0 + h * (v0 + z * dv0)
+            u1, du1 = u1 + z * v1 * h, du1 + h * (v1 + z * dv1)
+        if u0 > hi0:
+            hi0 = u0
+        elif u0 < lo0:
+            lo0 = u0
+        if u1 > hi1:
+            hi1 = u1
+        elif u1 < lo1:
+            lo1 = u1
+    amp0, amp1 = max(hi0, -lo0), max(hi1, -lo1)
+    if not math.isfinite(amp0 + du0 + dv0):
+        raise _overflow(z, *_sweep(mu, z, 0))
+    if not math.isfinite(amp1 + du1 + dv1):
+        raise _overflow(z, *_sweep(mu, z, 1))
+    err = 8.0 * _EPS * max(amp0, amp1) * (len(mu.densities) + abs(z) + 4.0)
     # 0.0 - x rather than -x: an exact zero stays +0.0
-    return PropagationResult(
-        z, 0.0 - msps[-1], cps[-1], sqs[-1], cqs[-1], 0.0 - dmsp, dcp, dsq, dcq, err
-    )
+    return PropagationResult(z, 0.0 - v0, u0, u1, v1, 0.0 - dv0, du0, du1, dv1, err)
 
 
 def eval_on_grid(mu: Measure, z: float, xs, family: str) -> np.ndarray:
@@ -120,7 +161,10 @@ def eval_on_grid(mu: Measure, z: float, xs, family: str) -> np.ndarray:
     if family not in _FAMILIES:
         raise DomainError(f"unknown function family {family!r}")
     column, component = _FAMILIES[family]
-    us, vs = map(np.array, _sweep(mu, z, column)[:2])
+    us, vs = _sweep(mu, z, column)
+    if not (math.isfinite(us[-1]) and math.isfinite(vs[-1])):
+        raise _overflow(z, us, vs)
+    us, vs = np.array(us), np.array(vs)
     i = np.minimum(np.searchsorted(mu._bp[1:], xs), mu.piece_count - 1)
     u, v, hs, d = us[i], vs[i], xs - mu._bp[i], mu._dens[i]
     m = d > 0.0

@@ -173,6 +173,8 @@ def find_eigenvalues(
         raise ConfigError(f"count must be >= 1, got {count}")
     if not (0.0 < tol <= 1e-2):
         raise ConfigError(f"tol must lie in (0, 1e-2], got {tol}")
+    if not (0.0 < scan_ceiling < math.inf):
+        raise ConfigError(f"scan_ceiling must be positive and finite, got {scan_ceiling}")
 
     mu = mu if isinstance(mu, Measure) else mu.measure
     q2_one = _q2_at_one(mu)

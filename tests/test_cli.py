@@ -528,6 +528,18 @@ class TestExitCodesSubprocess:
         assert (err["error"], err["exit_code"]) == ("PrecisionError", 3)
         assert "z=10000.0" in err["message"]
 
+    @pytest.mark.parametrize("args", [["sincurve", "--z-max", "nan", "--z-points", "3"],
+                                      ["eigvals", "--scan-ceiling", "nan"]])
+    def test_non_finite_limit_is_a_config_error(self, args):
+        # nan fails every comparison, so "z_max <= 0" alone let it through
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        lines = proc.stderr.decode("utf-8").splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+
     def test_resource_error_is_four(self):
         proc = run_cli(["eigvals", "--level", "11"])
         assert proc.returncode == 4

@@ -1,6 +1,9 @@
 """Closed-form piece propagation vs series, closed forms, finite differences."""
 
+import dataclasses
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +16,7 @@ from kreinfeller.measures import Measure, WeightVector
 from kreinfeller.propagation import boundary_values, eval_on_grid, zero_count
 from kreinfeller import series as se
 
-from conftest import cantor, piecewise_measures
+from conftest import STANDARD_WEIGHTS, cantor, piecewise_measures
 
 FAMILIES = ("sp", "cp", "sq", "cq")
 HALF = WeightVector.of(Fraction(1, 2))
@@ -190,6 +193,156 @@ class TestConservationLaw:
             boundary_values(mu, 2e4)
         with pytest.raises(PrecisionError):
             eval_on_grid(mu, 2e4, [0.5], "sq")
+
+
+def _reference_column(mu, z, column):
+    """One column (u, v) and its z-derivative swept alone, piece by piece.
+
+    Returns u and v at every breakpoint, (du, dv) at x = 1 and the largest
+    |u|, |v| met (at least 1).  The operands and their order are those of
+    the fused pass, which must reproduce every bit.
+    """
+    u, v = ((1.0, 0.0), (0.0, 1.0))[column]
+    du = dv = 0.0
+    amp = 1.0
+    us, vs = [u], [v]
+    for h, d, rd in mu._piece_table:
+        if d > 0.0:
+            kh = z * rd * h
+            c, s = math.cos(kh), math.sin(kh)
+            u, v, du, dv = (
+                u * c + v * s / rd,
+                v * c - u * rd * s,
+                du * c + dv * s / rd + h * (v * c - u * rd * s),
+                dv * c - du * rd * s - h * (u * d * c + v * rd * s),
+            )
+        else:
+            u, du = u + z * v * h, du + h * (v + z * dv)
+        amp = max(amp, abs(u), abs(v))
+        us.append(u)
+        vs.append(v)
+    return us, vs, du, dv, amp
+
+
+def _reference_boundary_values(mu, z):
+    """The ten PropagationResult fields, or None where a column overflows."""
+    cols = [_reference_column(mu, z, j) for j in (0, 1)]
+    if any(not math.isfinite(amp + du + dv) for _, _, du, dv, amp in cols):
+        return None
+    (cps, msps, dcp, dmsp, amp_p), (sqs, cqs, dsq, dcq, amp_q) = cols
+    err = 8.0 * sys.float_info.epsilon * max(amp_p, amp_q) * (len(mu.densities) + abs(z) + 4.0)
+    return (z, 0.0 - msps[-1], cps[-1], sqs[-1], cqs[-1], 0.0 - dmsp, dcp, dsq, dcq, err)
+
+
+def _reference_grid(mu, z, xs, family):
+    """eval_on_grid from the per-column sweep, or None where its values overflow."""
+    column, component = {"cp": (0, 0), "sp": (0, 1), "sq": (1, 0), "cq": (1, 1)}[family]
+    us, vs = _reference_column(mu, z, column)[:2]
+    if not all(map(math.isfinite, us + vs)):
+        return None
+    us, vs = np.array(us), np.array(vs)
+    i = np.minimum(np.searchsorted(mu._bp[1:], xs), mu.piece_count - 1)
+    u, v, hs, d = us[i], vs[i], xs - mu._bp[i], mu._dens[i]
+    m = d > 0.0
+    rd = np.sqrt(d[m])
+    kh = z * rd * hs[m]
+    c, s = np.cos(kh), np.sin(kh)
+    if component == 0:
+        out = u + z * v * hs
+        out[m] = u[m] * c + v[m] * s / rd
+    else:
+        out = v.copy()
+        out[m] = v[m] * c - u[m] * rd * s
+    return 0.0 - out if family == "sp" else out
+
+
+def _seeded_measure(seed, pieces):
+    """Non-self-similar measure: random cuts on a j/N grid, integer densities 0..4."""
+    rng = random.Random(seed)
+    n_grid = 3 * pieces
+    ticks = [0, *sorted(rng.sample(range(1, n_grid), pieces - 1)), n_grid]
+    raw = [rng.choice((0, 1, 2, 3, 4)) for _ in range(pieces)]
+    raw[0] = raw[-1] = 1
+    mass = Fraction(sum(k * (b - a) for k, a, b in zip(raw, ticks, ticks[1:])), n_grid)
+    return Measure(tuple(Fraction(t, n_grid) for t in ticks), tuple(k / mass for k in raw))
+
+
+_PINNED = [pytest.param(w, level, id=f"w={w.w1}-L{level}")
+           for w in STANDARD_WEIGHTS for level in range(9)]
+_PINNED += [pytest.param(seed, None, id=f"seeded-{seed}") for seed in (1, 2)]
+
+
+class TestFusedPassIsBitIdentical:
+    """boundary_values sweeps both columns in one pass that shares each
+    piece's cos and sin, and eval_on_grid sweeps values only.  Both must
+    give the per-column sweep's floats bit for bit: the solver's scan,
+    Brent steps and certificates read these values, so one changed bit can
+    change its sequence of calls."""
+
+    XS = np.linspace(0.0, 1.0, 41)
+
+    @pytest.mark.parametrize("w, level", _PINNED)
+    def test_every_field_and_grid_value(self, w, level):
+        mu = cantor(w, level) if level is not None else _seeded_measure(w, 300 + 200 * w)
+        rng = random.Random(level if level is not None else -w)
+        for z in [0.0, *(rng.uniform(0.0, 3000.0) for _ in range(6))]:
+            ref = _reference_boundary_values(mu, z)
+            assert ref is not None
+            got = dataclasses.astuple(boundary_values(mu, z))
+            assert [t.hex() for t in got] == [t.hex() for t in ref]
+            for family in FAMILIES:
+                assert np.array_equal(eval_on_grid(mu, z, self.XS, family),
+                                      _reference_grid(mu, z, self.XS, family))
+
+    def test_overflow_raises_on_both_routes(self):
+        mu = cantor(THIRD, 10)
+        assert _reference_boundary_values(mu, 2e4) is None
+        with pytest.raises(PrecisionError, match="z=20000.0 after reaching magnitude"):
+            boundary_values(mu, 2e4)
+        for family in FAMILIES:
+            assert _reference_grid(mu, 2e4, self.XS, family) is None
+            with pytest.raises(PrecisionError, match="z=20000.0 after reaching magnitude"):
+                eval_on_grid(mu, 2e4, self.XS, family)
+
+
+    def test_second_column_alone_overflows(self):
+        # across the gap (cp, -sp) stays (1, 0) while sq = z x reaches 6e307;
+        # on the massive piece only the (sq, cq) derivative overflows
+        mu = Measure((Fraction(0), Fraction(3, 4), Fraction(1)), (Fraction(0), Fraction(4)))
+        z = 8e307
+        us, vs, du, dv, amp = _reference_column(mu, z, 0)
+        assert all(map(math.isfinite, [*us, *vs, du, dv, amp]))
+        assert _reference_boundary_values(mu, z) is None
+        with pytest.raises(PrecisionError, match=r"z=8e\+307 after reaching magnitude 1.2e\+308"):
+            boundary_values(mu, z)
+        # the values stay finite, so grid evaluation needs no derivative
+        for family in FAMILIES:
+            assert np.array_equal(eval_on_grid(mu, z, self.XS, family),
+                                  _reference_grid(mu, z, self.XS, family))
+
+_PROPERTY_MEASURES = {level: cantor(THIRD, level) for level in (2, 6, 10)}
+
+
+@given(level=st.sampled_from(sorted(_PROPERTY_MEASURES)),
+       z=st.floats(min_value=0.0, max_value=1e6),
+       family=st.sampled_from(FAMILIES))
+@settings(max_examples=60, deadline=None)
+def test_finite_or_precision_error(level, z, family):
+    # overflow is checked once, on the final state, so an inf or nan met on
+    # the way must never come back as a finite number or leak out
+    mu = _PROPERTY_MEASURES[level]
+    try:
+        r = boundary_values(mu, z)
+    except PrecisionError:
+        pass
+    else:
+        assert all(map(math.isfinite, dataclasses.astuple(r)))
+    try:
+        out = eval_on_grid(mu, z, TestFusedPassIsBitIdentical.XS, family)
+    except PrecisionError:
+        pass
+    else:
+        assert np.isfinite(out).all()
 
 
 class TestZeroCount:

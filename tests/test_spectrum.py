@@ -459,6 +459,12 @@ class TestErrorPaths:
             find_eigenvalues(LEBESGUE, "dirichlet", 5, scan_ceiling=7.0)
         assert exc.value.found == 2  # pi and 2*pi lie below 7
 
+    @pytest.mark.parametrize("ceiling", [math.nan, math.inf, 0.0, -7.0])
+    def test_bad_scan_ceiling(self, ceiling):
+        # min(z_lo + step, nan) is z_lo + step: a nan ceiling would be no ceiling
+        with pytest.raises(ConfigError, match="scan_ceiling"):
+            find_eigenvalues(LEBESGUE, "dirichlet", 2, scan_ceiling=ceiling)
+
     def test_bad_boundary(self):
         with pytest.raises(DomainError):
             find_eigenvalues(LEBESGUE, "periodic", 2)
