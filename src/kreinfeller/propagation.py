@@ -15,7 +15,8 @@ length h by the same map: with k = z sqrt(d), c = cos(kh), s = sin(kh),
 
 :func:`boundary_values` applies this map to both columns and their exact
 z-derivatives in one pass, computing each piece's cos and sin once; it
-raises :class:`PrecisionError` if a column overflows.  :func:`_sweep`
+raises :class:`PrecisionError` if a column overflows.  All three routes
+raise it too where a piece's phase z sqrt(d) h is not a finite float.  :func:`_sweep`
 carries one column's values alone and records them at every breakpoint:
 :func:`eval_on_grid` applies a partial-length step to the entry state of
 each point's piece.  :func:`zero_count` needs no magnitudes: it carries
@@ -66,16 +67,24 @@ def _sweep(mu: Measure, z: float, column: int):
     """Carry one column (u, v) across every piece; its values at the K + 1 breakpoints."""
     u, v = _START[column]
     us, vs = [u], [v]
-    for h, d, rd in mu._piece_table:
-        if d > 0.0:
-            kh = z * rd * h
-            c, s = math.cos(kh), math.sin(kh)
-            u, v = u * c + v * s / rd, v * c - u * rd * s
-        else:
-            u = u + z * v * h
-        us.append(u)
-        vs.append(v)
+    try:
+        for h, d, rd in mu._piece_table:
+            if d > 0.0:
+                kh = z * rd * h
+                c, s = math.cos(kh), math.sin(kh)
+                u, v = u * c + v * s / rd, v * c - u * rd * s
+            else:
+                u = u + z * v * h
+            us.append(u)
+            vs.append(v)
+    except ValueError:  # cos(inf)
+        raise _phase_out_of_range(z) from None
     return us, vs
+
+
+def _phase_out_of_range(z: float) -> PrecisionError:
+    """The error for a z at which a piece's phase z sqrt(d) h is not finite."""
+    return PrecisionError(f"a piece's phase z*sqrt(d)*h leaves float64 at z={z!r}")
 
 
 def _overflow(z: float, us, vs) -> PrecisionError:
@@ -101,43 +110,46 @@ def boundary_values(mu: Measure, z: float) -> PropagationResult:
     du0 = dv0 = du1 = dv1 = 0.0
     hi0 = hi1 = 1.0
     lo0 = lo1 = -1.0
-    for h, d, rd in mu._piece_table:
-        if d > 0.0:
-            kh = z * rd * h
-            c, s = cos(kh), sin(kh)
-            n0 = v0 * c - u0 * rd * s
-            n1 = v1 * c - u1 * rd * s
-            u0, v0, du0, dv0 = (
-                u0 * c + v0 * s / rd,
-                n0,
-                du0 * c + dv0 * s / rd + h * n0,
-                dv0 * c - du0 * rd * s - h * (u0 * d * c + v0 * rd * s),
-            )
-            u1, v1, du1, dv1 = (
-                u1 * c + v1 * s / rd,
-                n1,
-                du1 * c + dv1 * s / rd + h * n1,
-                dv1 * c - du1 * rd * s - h * (u1 * d * c + v1 * rd * s),
-            )
-            if v0 > hi0:
-                hi0 = v0
-            elif v0 < lo0:
-                lo0 = v0
-            if v1 > hi1:
-                hi1 = v1
-            elif v1 < lo1:
-                lo1 = v1
-        else:
-            u0, du0 = u0 + z * v0 * h, du0 + h * (v0 + z * dv0)
-            u1, du1 = u1 + z * v1 * h, du1 + h * (v1 + z * dv1)
-        if u0 > hi0:
-            hi0 = u0
-        elif u0 < lo0:
-            lo0 = u0
-        if u1 > hi1:
-            hi1 = u1
-        elif u1 < lo1:
-            lo1 = u1
+    try:
+        for h, d, rd in mu._piece_table:
+            if d > 0.0:
+                kh = z * rd * h
+                c, s = cos(kh), sin(kh)
+                n0 = v0 * c - u0 * rd * s
+                n1 = v1 * c - u1 * rd * s
+                u0, v0, du0, dv0 = (
+                    u0 * c + v0 * s / rd,
+                    n0,
+                    du0 * c + dv0 * s / rd + h * n0,
+                    dv0 * c - du0 * rd * s - h * (u0 * d * c + v0 * rd * s),
+                )
+                u1, v1, du1, dv1 = (
+                    u1 * c + v1 * s / rd,
+                    n1,
+                    du1 * c + dv1 * s / rd + h * n1,
+                    dv1 * c - du1 * rd * s - h * (u1 * d * c + v1 * rd * s),
+                )
+                if v0 > hi0:
+                    hi0 = v0
+                elif v0 < lo0:
+                    lo0 = v0
+                if v1 > hi1:
+                    hi1 = v1
+                elif v1 < lo1:
+                    lo1 = v1
+            else:
+                u0, du0 = u0 + z * v0 * h, du0 + h * (v0 + z * dv0)
+                u1, du1 = u1 + z * v1 * h, du1 + h * (v1 + z * dv1)
+            if u0 > hi0:
+                hi0 = u0
+            elif u0 < lo0:
+                lo0 = u0
+            if u1 > hi1:
+                hi1 = u1
+            elif u1 < lo1:
+                lo1 = u1
+    except ValueError:  # cos(inf)
+        raise _phase_out_of_range(z) from None
     amp0, amp1 = max(hi0, -lo0), max(hi1, -lo1)
     if not math.isfinite(amp0 + du0 + dv0):
         raise _overflow(z, *_sweep(mu, z, 0))
@@ -196,13 +208,16 @@ def zero_count(mu: Measure, z: float, family: str) -> int:
     if family not in ("cp", "sq"):
         raise DomainError(f"zero counts are for cp or sq, got {family!r}")
     n, phi = 0, (_HALF_PI if family == "cp" else 0.0)
-    for h, d, rd in mu._piece_table:
-        if d > 0.0:
-            psi = math.atan2(rd * math.sin(phi), math.cos(phi)) + z * rd * h
-            k = math.floor((psi + _HALF_PI) / math.pi)
-            n, psi = n + k, psi - k * math.pi
-            phi = math.atan2(math.sin(psi) / rd, math.cos(psi))
-        else:
-            c = math.cos(phi)
-            phi = math.atan2(math.sin(phi) + z * h * c, c)
+    try:
+        for h, d, rd in mu._piece_table:
+            if d > 0.0:
+                psi = math.atan2(rd * math.sin(phi), math.cos(phi)) + z * rd * h
+                k = math.floor((psi + _HALF_PI) / math.pi)
+                n, psi = n + k, psi - k * math.pi
+                phi = math.atan2(math.sin(psi) / rd, math.cos(psi))
+            else:
+                c = math.cos(phi)
+                phi = math.atan2(math.sin(phi) + z * h * c, c)
+    except (OverflowError, ValueError):  # floor(inf), floor(nan)
+        raise _phase_out_of_range(z) from None
     return n - (phi < 0.0)

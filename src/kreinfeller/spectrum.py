@@ -400,6 +400,13 @@ def fem_oracle(
     tail at a Neumann end is free and adds nothing.  Each eigenvalue is
     polished by a Rayleigh quotient in energy form, a sum of squares over
     springs, so it suffers no cancellation.
+
+    K and M are tridiagonal, held as sparse bands, and the lowest ``count``
+    pairs come from ARPACK in shift-invert mode about sigma: 0 for Dirichlet,
+    where K is positive definite, and -1 for Neumann, where K is singular on
+    constants.  The start vector is fixed (all ones), so repeated calls give
+    the same floats.  Time and memory are O(dofs); ``count`` must stay below
+    dofs, and a solve that does not converge raises :class:`PrecisionError`.
     """
     _check_boundary(boundary)
     if count < 1:
@@ -415,7 +422,8 @@ def fem_oracle(
                 "align the mesh with the measure's pieces"
             )
 
-    import scipy.linalg
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import ArpackError, eigsh
 
     h = 1.0 / n
     dens = mu._dens[np.searchsorted(mu._bp, (np.arange(n) + 0.5) / n) - 1]
@@ -424,10 +432,11 @@ def fem_oracle(
     keep = np.flatnonzero(node_mass > 0.0)
     if boundary == DIRICHLET:
         keep = keep[(keep > 0) & (keep < n)]
-    if count > keep.size:
+    if count >= keep.size:
         raise ConfigError(
             f"requested {count} eigenvalues but the condensed system has only "
-            f"{keep.size} degrees of freedom; refine the mesh"
+            f"{keep.size} degrees of freedom (at most {keep.size - 1} can be "
+            "requested); refine the mesh"
         )
 
     spring = 1.0 / (np.diff(keep) * h)
@@ -437,12 +446,20 @@ def fem_oracle(
     m_diag = node_mass[keep]
     # element a joins mass nodes a and a + 1; past a massless node it is empty
     m_off = dens[keep[:-1]] * h / 6.0
-    stiff = np.diag(np.append(ground[0], spring) + np.append(spring, ground[1]))
-    mass = np.diag(m_diag)
-    upper = (np.arange(keep.size - 1), np.arange(1, keep.size))
-    stiff[upper] = stiff[upper[::-1]] = -spring
-    mass[upper] = mass[upper[::-1]] = m_off
-    _, vecs = scipy.linalg.eigh(stiff, mass, subset_by_index=[0, count - 1])
+    stiff = diags(
+        [-spring, np.append(ground[0], spring) + np.append(spring, ground[1]), -spring],
+        [-1, 0, 1],
+        format="csc",
+    )
+    mass = diags([m_off, m_diag, m_off], [-1, 0, 1], format="csc")
+    sigma = 0.0 if boundary == DIRICHLET else -1.0
+    try:
+        _, vecs = eigsh(stiff, count, mass, sigma=sigma, which="LM", v0=np.ones(keep.size))
+    except ArpackError as exc:
+        raise PrecisionError(
+            f"the shift-invert eigensolve for the lowest {count} of {keep.size} "
+            f"finite-element pairs failed: {exc}"
+        ) from exc
 
     energy = spring @ np.diff(vecs, axis=0) ** 2
     energy += ground[0] * vecs[0] ** 2 + ground[1] * vecs[-1] ** 2

@@ -374,3 +374,25 @@ class TestZeroCount:
         for family in ("sp", "cq", "sinp"):
             with pytest.raises(DomainError):
                 zero_count(cantor(HALF, 2), 3.0, family)
+
+
+class TestPhaseBeyondFloat64:
+    """At z = 1e308 the phase z sqrt(d) h of the massive piece is inf, where
+    cos and floor fail: every route raises a PrecisionError naming z."""
+
+    MU = Measure((Fraction(0), Fraction(3, 4), Fraction(1)), (Fraction(0), Fraction(4)))
+
+    def test_boundary_values(self):
+        with pytest.raises(PrecisionError, match=r"z=1e\+308"):
+            boundary_values(self.MU, 1e308)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_eval_on_grid(self, family):
+        with pytest.raises(PrecisionError, match=r"z=1e\+308"):
+            eval_on_grid(self.MU, 1e308, [0.5, 1.0], family)
+
+    @pytest.mark.parametrize("family", ["cp", "sq"])
+    @pytest.mark.parametrize("z, shown", [(1e308, r"1e\+308"), (math.inf, "inf"), (math.nan, "nan")])
+    def test_zero_count(self, z, shown, family):
+        with pytest.raises(PrecisionError, match=f"z={shown}$"):
+            zero_count(self.MU, z, family)

@@ -30,6 +30,7 @@ from kreinfeller.spectrum import (
     eigenfunction_l2_norm,
     fem_oracle,
     find_eigenvalues,
+    record_count,
 )
 
 LEBESGUE = Measure(breakpoints=(F(0), F(1)), densities=(F(1),))
@@ -451,6 +452,63 @@ class TestFemOracle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_memory_is_linear_in_dofs(self):
+        # about 7,800 mass nodes: dense matrices would take ~490 MB each
+        import tracemalloc
+
+        mu = cantor(F(2, 5), F(3, 5), 5)
+        fem_oracle(mu, 3.0**-5, 2, "neumann")  # imports done outside the trace
+        tracemalloc.start()
+        try:
+            fem_oracle(mu, 3.0**-10, 7, "neumann")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_repeated_calls_are_bit_identical(self, boundary):
+        # ARPACK starts from a fixed vector, not a fresh random one per call
+        mu = cantor(F(1, 3), F(2, 3), 4)
+        first = fem_oracle(mu, 3.0**-7, 7, boundary)
+        assert [v.hex() for v in fem_oracle(mu, 3.0**-7, 7, boundary)] == [v.hex() for v in first]
+
+    @pytest.mark.parametrize("boundary, dofs", [("neumann", 4), ("dirichlet", 2)])
+    def test_count_equal_to_dofs_rejected(self, boundary, dofs):
+        assert len(fem_oracle(LEBESGUE, 1.0 / 3, dofs - 1, boundary)) == dofs - 1
+        with pytest.raises(ConfigError, match=f"only {dofs} degrees of freedom"):
+            fem_oracle(LEBESGUE, 1.0 / 3, dofs, boundary)
+
+    def test_no_convergence_is_a_precision_error(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(PrecisionError, match="no convergence"):
+            fem_oracle(LEBESGUE, 3.0**-4, 3, "dirichlet")
+
+
+class TestFemMinMax:
+    """Conforming elements bound each eigenvalue from above, and refining to
+    a nested mesh can only lower the bound (Strang & Fix, 1973, ch. 6)."""
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("w1", [F(1, 2), F(1, 3), F(2, 5), F(1, 4)], ids=str)
+    def test_solver_below_fem_and_fem_monotone_in_mesh(self, w1, level, boundary):
+        mu = cantor(w1, 1 - w1, level)
+        count = record_count(boundary, 6)
+        fine = fem_oracle(mu, 3.0**-8, count, boundary)
+        coarse = fem_oracle(mu, 3.0**-7, count, boundary)
+        records = find_eigenvalues(mu, boundary, count)
+        for rec, lam_fine, lam_coarse in zip(records, fine, coarse):
+            if rec.index == 0:
+                continue  # the Neumann zero mode is 0 on every route
+            assert rec.lam <= lam_fine * (1 + 1e-12)
+            assert lam_fine <= lam_coarse * (1 + 1e-12)
 
 
 class TestErrorPaths:
