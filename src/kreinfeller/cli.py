@@ -65,8 +65,6 @@ FORMATS = ("csv", "json")
 BOUNDARIES = ("neumann", "dirichlet")
 RATE_KINDS = ("eigenvalue", "eigenfunction")
 
-TOL_MIN = 1e-14
-TOL_MAX = 1e-4
 DEFAULT_ORDER = 12
 
 _THREAD_ENV_VARS = (
@@ -130,7 +128,6 @@ class RunConfig:
     m_index: int = 1
     m_list: tuple[int, ...] = (1,)  # eigfun indices
     normalized: bool = False
-    tol: float = 1e-12
     order: int = DEFAULT_ORDER
     z_max: float = 12.0
     z_points: int = 601
@@ -152,8 +149,6 @@ class RunConfig:
             raise ConfigError(f"unknown boundary {self.boundary!r}; expected one of {BOUNDARIES}")
         if self.rate_kind not in RATE_KINDS:
             raise ConfigError(f"unknown rate kind {self.rate_kind!r}; expected one of {RATE_KINDS}")
-        if not (TOL_MIN <= self.tol <= TOL_MAX):
-            raise ConfigError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {self.tol:g}")
         for lv in (self.level, *self.levels):
             if lv < 0:
                 raise ConfigError(f"level must be nonnegative, got {lv}")
@@ -230,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = [
         _option("--w", dest="weight", type=parse_weight, metavar="W", help="first branch weight, decimal or fraction; the second is 1-W"),
         _option("--level-cap", type=int, help="maximum refinement level accepted"),
-        _option("--tol", type=float, help="root-finding tolerance"),
         _option("--out", dest="out_path", metavar="PATH", help="output file; stdout when absent"),
         _option("--format", choices=FORMATS, help="output format"),
         _option("--threads", type=int, help=f"pin BLAS/OpenMP thread count before numpy loads; {THREADS_ENV} when absent"),
@@ -389,7 +383,7 @@ def _run_eigvals(cfg: RunConfig):
 
     mu, doc = _measure_for(cfg, "boundary")
     count = record_count(cfg.boundary, cfg.m_max)
-    records = find_eigenvalues(mu, cfg.boundary, count, tol=cfg.tol, scan_ceiling=cfg.scan_ceiling)
+    records = find_eigenvalues(mu, cfg.boundary, count, scan_ceiling=cfg.scan_ceiling)
     rows = _eigvals_rows(records)
     doc["records"] = _records(rows, EIGVALS_CSV_HEADER[1:])
     return rows, doc
@@ -402,7 +396,7 @@ def _run_eigfun(cfg: RunConfig):
     if cfg.boundary == "dirichlet" and min(cfg.m_list) < 1:
         raise ConfigError("dirichlet indices start at m=1")
     count = record_count(cfg.boundary, max(cfg.m_list))
-    records = find_eigenvalues(mu, cfg.boundary, count, tol=cfg.tol, scan_ceiling=cfg.scan_ceiling)
+    records = find_eigenvalues(mu, cfg.boundary, count, scan_ceiling=cfg.scan_ceiling)
     by_index = {r.index: r for r in records}
     xs = mu.sample_grid(cfg.x_points).tolist()
     columns = [xs]
@@ -490,7 +484,7 @@ def _run_rates(cfg: RunConfig):
 
     w = WeightVector.of(cfg.weight)
     if cfg.rate_kind == "eigenvalue":
-        report = eigenvalue_rate_experiment(w, cfg.levels, cfg.boundary, cfg.m_max, tol=cfg.tol)
+        report = eigenvalue_rate_experiment(w, cfg.levels, cfg.boundary, cfg.m_max)
     else:
         report = eigenfunction_rate_experiment(w, cfg.levels, cfg.boundary, cfg.m_index)
     return _report_output(report)
@@ -514,7 +508,7 @@ def _run_oracle_compare(cfg: RunConfig):
             "raise --mesh-power to at least the level"
         )
     count = record_count(cfg.boundary, cfg.m_max)
-    records = find_eigenvalues(mu, cfg.boundary, count, tol=cfg.tol, scan_ceiling=cfg.scan_ceiling)
+    records = find_eigenvalues(mu, cfg.boundary, count, scan_ceiling=cfg.scan_ceiling)
     mesh = 3.0 ** (-cfg.mesh_power)
     fem = fem_oracle(mu, mesh, count, cfg.boundary)
     rows = [("boundary", "m", "lambda_spectral", "lambda_fem", "rel_gap")]

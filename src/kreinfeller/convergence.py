@@ -39,7 +39,7 @@ from .measures import (
 )
 from .propagation import boundary_values, eval_on_grid
 from .series import TrigTable, build_table
-from .spectrum import NEUMANN, eigenfunction, eigenfunction_eval, find_eigenvalues, record_count
+from .spectrum import NEUMANN, XTOL, eigenfunction, eigenfunction_eval, find_eigenvalues, record_count
 
 STATUS_OK = "ok"
 STATUS_CONVERGED = "converged below tolerance"
@@ -119,14 +119,13 @@ def eigenvalue_rate_experiment(
     levels: Sequence[int],
     boundary: str,
     m_max: int,
-    tol: float = 1e-12,
 ) -> RateReport:
     """Track eigenvalues 1..m_max across refinement levels and fit decay slopes.
 
     The gap between levels n and n' is assigned to the smaller level, matching
-    the geometric bound's exponent.  A gap below ``tol`` times the eigenvalue
-    scale counts as converged; an index whose every gap is converged reports
-    the flat-sequence status instead of a slope.
+    the geometric bound's exponent.  A gap below the solver's Brent tolerance
+    ``XTOL`` times the eigenvalue scale counts as converged; an index whose
+    every gap is converged reports the flat-sequence status instead of a slope.
     """
     levels = _check_levels(levels, minimum=3)
     if m_max < 1:
@@ -136,7 +135,7 @@ def eigenvalue_rate_experiment(
     per_level: list[list[float]] = []
     for n in levels:
         mu = cantor_approximant(CantorLevel(w, n))
-        recs = find_eigenvalues(mu, boundary, count, tol=tol)
+        recs = find_eigenvalues(mu, boundary, count)
         lams = [r.lam for r in recs if r.index >= 1]
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise InconsistencyError(
@@ -159,7 +158,7 @@ def eigenvalue_rate_experiment(
     gap_levels = levels[:-1]
     for i in range(m_max):
         scale = max(1.0, max(abs(v) for v in lambdas[i]))
-        floor = max(tol, 1e-14) * scale
+        floor = XTOL * scale
         slope, delta, status = _fit_log_gaps(gap_levels, gaps[i], floor)
         slopes.append(slope)
         deltas.append(delta)

@@ -78,13 +78,13 @@ class Measure:
 
     breakpoints: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
-    # cached float views, excluded from equality/repr
-    _bp: np.ndarray = field(compare=False, repr=False, default=None)
-    _dens: np.ndarray = field(compare=False, repr=False, default=None)
+    # cached views, set by __post_init__ only, excluded from init/equality/repr
+    _bp: np.ndarray = field(init=False, compare=False, repr=False)
+    _dens: np.ndarray = field(init=False, compare=False, repr=False)
     # float(bp[i+1] - bp[i]), not _piece_table's h = np.diff(_bp): the two differ in the last bit
-    _lengths: tuple[float, ...] = field(compare=False, repr=False, default=None)
-    _cdf_at_bp: tuple[Fraction, ...] = field(compare=False, repr=False, default=None)
-    _piece_table: tuple = field(compare=False, repr=False, default=None)
+    _lengths: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    _cdf_at_bp: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+    _piece_table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bp, dens = self.breakpoints, self.densities

@@ -16,7 +16,8 @@ length h by the same map: with k = z sqrt(d), c = cos(kh), s = sin(kh),
 :func:`boundary_values` applies this map to both columns and their exact
 z-derivatives in one pass, computing each piece's cos and sin once; it
 raises :class:`PrecisionError` if a column overflows.  All three routes
-raise it too where a piece's phase z sqrt(d) h is not a finite float.  :func:`_sweep`
+raise it too where a piece's phase z sqrt(d) h is not a finite float, and
+the two that carry magnitudes refuse a non-finite z up front.  :func:`_sweep`
 carries one column's values alone and records them at every breakpoint:
 :func:`eval_on_grid` applies a partial-length step to the entry state of
 each point's piece.  :func:`zero_count` needs no magnitudes: it carries
@@ -87,6 +88,11 @@ def _phase_out_of_range(z: float) -> PrecisionError:
     return PrecisionError(f"a piece's phase z*sqrt(d)*h leaves float64 at z={z!r}")
 
 
+def _check_finite(z: float) -> None:
+    if not math.isfinite(z):  # else the overflow check would blame the column
+        raise PrecisionError(f"the frequency is not finite: z={z!r}")
+
+
 def _overflow(z: float, us, vs) -> PrecisionError:
     """The error for a column that overflowed, naming its largest finite entry."""
     reached = max(abs(t) for t in us + vs if math.isfinite(t))
@@ -105,6 +111,7 @@ def boundary_values(mu: Measure, z: float) -> PropagationResult:
     step maps an inf or nan back to a finite number, so the final state
     shows any overflow on the way.
     """
+    _check_finite(z)
     cos, sin = math.cos, math.sin
     u0, v0, u1, v1 = 1.0, 0.0, 0.0, 1.0
     du0 = dv0 = du1 = dv1 = 0.0
@@ -173,6 +180,7 @@ def eval_on_grid(mu: Measure, z: float, xs, family: str) -> np.ndarray:
     if family not in _FAMILIES:
         raise DomainError(f"unknown function family {family!r}")
     column, component = _FAMILIES[family]
+    _check_finite(z)
     us, vs = _sweep(mu, z, column)
     if not (math.isfinite(us[-1]) and math.isfinite(vs[-1])):
         raise _overflow(z, us, vs)

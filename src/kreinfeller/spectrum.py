@@ -12,10 +12,13 @@ The scan-and-refine strategy:
 
 * march upward in ``z`` with step ``(pi/4) / max(1, q2(1) * z)``,
 * halve the step whenever the boundary value dips under ten times its rounding
-  estimate without a sign change.  This does not rule out a close pair: simple
-  roots 0.001-0.008 apart are stepped over for w = 1/2 Dirichlet (ROADMAP.md,
-  "Measured"; direction 2 there proves each index by :func:`count_zeros`),
-* refine each certified sign change with Brent's method,
+  estimate without a sign change.  A close pair inside one step gives no sign
+  change, so indices are inferred, not proven: ROADMAP.md's sweep A found 208
+  of 1,695 records wrong, in every weight swept, from m = 41-54 at levels 5
+  and 7 for w != 1/2, and from m = 7 for w = 1/2 Dirichlet.  Direction 13
+  there plans a guard that proves each index by a Prüfer-angle count,
+* refine each certified sign change with Brent's method to ``XTOL``, then
+  polish with Newton steps,
 * re-certify a tight bracket around the refined root whose endpoint values
   exceed their rounding estimates with opposite signs, or raise
   :class:`PrecisionError`.
@@ -42,6 +45,9 @@ _SIDES = {NEUMANN: ("sp", "cp", "cp"), DIRICHLET: ("sq", "cq", "sq")}
 _BOUNDARIES = tuple(_SIDES)
 
 _DEFAULT_CEILING = 500.0
+# Brent's stopping width; it decides no result, as each root is then
+# Newton-polished and re-certified by a bracket
+XTOL = 1e-12
 
 
 def _check_boundary(boundary: str) -> str:
@@ -157,7 +163,7 @@ def find_eigenvalues(
     mu: Measure,
     boundary: str,
     count: int,
-    tol: float = 1e-12,
+    *,
     scan_ceiling: float = _DEFAULT_CEILING,
 ) -> list[EigenvalueRecord]:
     """First ``count`` eigenvalue records, sorted increasingly.
@@ -171,8 +177,6 @@ def find_eigenvalues(
     _check_boundary(boundary)
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    if not (0.0 < tol <= 1e-2):
-        raise ConfigError(f"tol must lie in (0, 1e-2], got {tol}")
     if not (0.0 < scan_ceiling < math.inf):
         raise ConfigError(f"scan_ceiling must be positive and finite, got {scan_ceiling}")
 
@@ -187,7 +191,7 @@ def find_eigenvalues(
     if needed <= 0:
         return records[:count]
 
-    roots = _scan_positive_roots(fn, q2_one, needed, tol, scan_ceiling)
+    roots = _scan_positive_roots(fn, q2_one, needed, scan_ceiling)
     start_index = 1
     for k, (z_root, lo, hi, residual, err_est) in enumerate(roots):
         records.append(
@@ -212,7 +216,6 @@ def _scan_positive_roots(
     fn: Callable[[float], tuple[float, float, float]],
     q2_one: float,
     needed: int,
-    tol: float,
     scan_ceiling: float,
 ) -> list[tuple[float, float, float, float, float]]:
     from scipy.optimize import brentq
@@ -252,7 +255,7 @@ def _scan_positive_roots(
                         f"cannot certify endpoint sign near z={z_hi:.6g}"
                     )
                 continue
-            roots.append(_refine_root(fn, brentq, z_lo, z_hi, tol))
+            roots.append(_refine_root(fn, brentq, z_lo, z_hi))
             z_lo, v_lo, e_lo = z_hi, v_hi, e_hi
             step = _scan_step(z_lo, q2_one)
             halvings = 0
@@ -277,12 +280,12 @@ def _scan_positive_roots(
     return roots
 
 
-def _refine_root(fn, brentq, lo, hi, tol):
+def _refine_root(fn, brentq, lo, hi):
     z_root = brentq(
         lambda z: fn(z)[0],
         lo,
         hi,
-        xtol=max(tol, 1e-15),
+        xtol=XTOL,
         rtol=8.9e-16,
         maxiter=200,
     )

@@ -1,6 +1,7 @@
 """Command-line interface: determinism, formats, exit codes, consistency."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -143,10 +144,18 @@ class TestConfigParsing:
         assert exc.value.code == 0
         assert "usage: kreinfeller" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tol", ["1e-15", "1e-3", "0.5"])
-    def test_tol_window_enforced(self, tol):
-        with pytest.raises(ConfigError):
-            config_from_argv(["eigvals", "--tol", tol])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_tol_is_not_an_option(self, command, capsys):
+        # Brent's tolerance is a solver constant: it decides no output
+        with pytest.raises(ConfigError, match="unrecognized arguments: --tol 1e-8"):
+            config_from_argv([command, "--tol", "1e-8"])
+        assert main([command, "--tol", "1e-8"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["exit_code"] == 2
+        with pytest.raises(SystemExit):
+            config_from_argv([command, "--help"])
+        assert "--tol" not in capsys.readouterr().out
 
     def test_level_cap_resource_error(self):
         with pytest.raises(ResourceError):
@@ -422,10 +431,15 @@ class TestRatesAndAudit:
         assert len(doc["sup_gaps"]) == 2
 
     def test_converged_index_writes_an_empty_fit(self):
-        # a huge tolerance reclassifies every gap as converged noise, so no slope is fitted
+        # an index whose gaps all sit below the floor has no fitted slope
         half = WeightVector.of(Fraction(1, 2))
-        report = eigenvalue_rate_experiment(half, [2, 3, 4], "neumann", 1, tol=1e-2)
-        assert report.status_per_m == (STATUS_CONVERGED,)
+        report = dataclasses.replace(
+            eigenvalue_rate_experiment(half, [2, 3, 4], "neumann", 1),
+            fitted_rate_per_m=(None,),
+            envelope_constant_per_m=(None,),
+            fit_drop_deepest_delta=(None,),
+            status_per_m=(STATUS_CONVERGED,),
+        )
         rows = parse_csv_bytes(_csv_bytes(_report_rows(report)))
         fit = rows[0].index("fitted_rate")
         assert [row[fit] for row in rows[1:]] == ["", ""]
@@ -504,7 +518,7 @@ class TestExitCodesSubprocess:
         assert proc.returncode == 0
 
     def test_config_error_is_two(self):
-        proc = run_cli(["eigvals", "--tol", "1"])
+        proc = run_cli(["eigvals", "--m-max", "-1"])
         assert proc.returncode == 2
         err = json.loads(proc.stderr.decode("utf-8"))
         assert err["error"] == "ConfigError"

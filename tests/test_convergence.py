@@ -110,10 +110,12 @@ class TestEigenvalueRates:
                 assert g <= c * w2**n * (1 + 1e-12)
 
     def test_flat_gap_guard(self):
-        # a huge tolerance reclassifies every gap as converged noise
-        rep = eigenvalue_rate_experiment(HALF, [2, 3, 4], "neumann", 1, tol=1e-2)
-        assert rep.status_per_m == (STATUS_CONVERGED,)
-        assert rep.fitted_rate_per_m == (None,)
+        # gaps at or below the floor are converged noise: with fewer than two
+        # left there is no slope, and one gap above the floor is not enough
+        assert conv._fit_log_gaps([2, 3, 4], [1e-13, 1e-12, 0.0], 1e-12) == (None, None, STATUS_CONVERGED)
+        assert conv._fit_log_gaps([2, 3, 4], [1e-3, 1e-12, 0.0], 1e-12) == (None, None, STATUS_CONVERGED)
+        slope, _, status = conv._fit_log_gaps([2, 3, 4], [1e-3, 1e-4, 0.0], 1e-12)
+        assert status != STATUS_CONVERGED and slope == pytest.approx(math.log(0.1))
 
     def test_level_validation(self):
         with pytest.raises(ConfigError):
@@ -281,6 +283,18 @@ class TestBoundAudit:
         limit = 0.125
         allow = conv._allow(limit)
         row = conv._row("trig-gap-cp", "pair=(1,2) z=1", limit + allow, limit, allow)
+        assert row.measured > row.limit
+        assert row.ok is True
+
+    def test_float_row_at_limit_zero_passes_on_the_absolute_allowance(self):
+        # the absolute term 1e-10 of _allow carries an excess at a zero limit
+        row = conv._row("trig-gap-cp", "pair=(1,2) z=0", 5e-11, 0.0, conv._allow(0.0))
+        assert row.ok is True
+
+    def test_float_row_at_a_large_limit_passes_on_the_relative_allowance(self):
+        # 5e-9 over 1e4 exceeds the absolute term; the relative term 1e-12 * 1e4 carries it
+        limit = 1e4
+        row = conv._row("trig-gap-cp", "pair=(1,2) z=8", limit + 5e-9, limit, conv._allow(limit))
         assert row.measured > row.limit
         assert row.ok is True
 

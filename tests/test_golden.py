@@ -11,6 +11,8 @@ Regenerate (only for a stated, justified numerical change):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,17 @@ def test_solves_need_no_series_table(name, tmp_path, monkeypatch):
     monkeypatch.setattr(series, "build_table", refuse)
     monkeypatch.setattr(convergence, "build_table", refuse)
     test_cli_output_matches_golden(name, tmp_path)
+
+
+def test_ci_console_script_commands_are_the_golden_configs():
+    # CI pipes these commands into cmp against tests/golden; their arguments
+    # are typed there a second time and must not drift from GOLDEN_CONFIGS
+    workflow = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
+    pattern = re.compile(r"^\s*kreinfeller (.+?) \| cmp - tests/golden/(\S+)\s*$", re.MULTILINE)
+    piped = pattern.findall(workflow.read_text(encoding="utf-8"))
+    assert len(piped) == 5
+    for args, name in piped:
+        assert shlex.split(args) == GOLDEN_CONFIGS[name], name
 
 
 def test_every_subcommand_and_format_is_covered():

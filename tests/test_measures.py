@@ -208,6 +208,15 @@ class TestMeasureValidation:
         with pytest.raises(Exception):
             mu.densities = (Fraction(2),)
 
+    def test_takes_only_breakpoints_and_densities(self):
+        # the cached views are computed, never passed
+        bp, dens = (Fraction(0), Fraction(1)), (Fraction(1),)
+        with pytest.raises(TypeError):
+            Measure(bp, dens, np.array([0.0, 1.0]))
+        with pytest.raises(TypeError):
+            Measure(bp, dens, _piece_table=())
+        assert Measure(bp, dens)._piece_table == ((1.0, 1.0, 1.0),)
+
 
 class TestSampleGrid:
     def _check(self, mu, n):

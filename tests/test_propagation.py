@@ -396,3 +396,15 @@ class TestPhaseBeyondFloat64:
     def test_zero_count(self, z, shown, family):
         with pytest.raises(PrecisionError, match=f"z={shown}$"):
             zero_count(self.MU, z, family)
+
+    # an infinite or nan z is named as such, not as an overflowing column
+    @pytest.mark.parametrize("z, shown", [(math.inf, "inf"), (math.nan, "nan")])
+    def test_boundary_values_at_non_finite_z(self, z, shown):
+        with pytest.raises(PrecisionError, match=f"not finite: z={shown}$"):
+            boundary_values(self.MU, z)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("z, shown", [(math.inf, "inf"), (math.nan, "nan")])
+    def test_eval_on_grid_at_non_finite_z(self, z, shown, family):
+        with pytest.raises(PrecisionError, match=f"not finite: z={shown}$"):
+            eval_on_grid(self.MU, z, [0.5, 1.0], family)

@@ -47,7 +47,7 @@ def cantor(w1, w2, level):
 
 class TestLebesgueRoots:
     def test_neumann_roots_are_multiples_of_pi(self):
-        recs = find_eigenvalues(LEBESGUE, "neumann", 11, tol=1e-14)
+        recs = find_eigenvalues(LEBESGUE, "neumann", 11)
         assert [r.index for r in recs] == list(range(11))
         for r in recs:
             expect = r.index * math.pi
@@ -55,7 +55,7 @@ class TestLebesgueRoots:
             assert abs(r.lam - expect**2) <= 1e-12 * max(1.0, expect**2)
 
     def test_dirichlet_roots_are_positive_multiples_of_pi(self):
-        recs = find_eigenvalues(LEBESGUE, "dirichlet", 10, tol=1e-14)
+        recs = find_eigenvalues(LEBESGUE, "dirichlet", 10)
         assert [r.index for r in recs] == list(range(1, 11))
         for r in recs:
             expect = r.index * math.pi
@@ -87,18 +87,18 @@ class TestFrozenLevelOne:
         return cantor(F(1, 2), F(1, 2), 1)
 
     def test_first_dirichlet(self, mu):
-        rec = find_eigenvalues(mu, "dirichlet", 1, tol=1e-14)[0]
+        rec = find_eigenvalues(mu, "dirichlet", 1)[0]
         assert rec.lam == pytest.approx(HALF_LEVEL1_DIRICHLET_1, rel=1e-12)
 
     def test_first_positive_neumann(self, mu):
-        rec = find_eigenvalues(mu, "neumann", 2, tol=1e-14)[1]
+        rec = find_eigenvalues(mu, "neumann", 2)[1]
         assert rec.lam == pytest.approx(HALF_LEVEL1_NEUMANN_1, rel=1e-12)
 
     def test_symmetric_measure_halving(self, mu):
         # With a measure symmetric about 1/2, the second positive Neumann root
         # is an even reflection of the first Dirichlet one: z_{N,2} = 2 z_{D,1}.
-        rn = find_eigenvalues(mu, "neumann", 3, tol=1e-14)
-        rd = find_eigenvalues(mu, "dirichlet", 1, tol=1e-14)
+        rn = find_eigenvalues(mu, "neumann", 3)
+        rd = find_eigenvalues(mu, "dirichlet", 1)
         assert rn[2].z == pytest.approx(2.0 * rd[0].z, rel=1e-13)
 
 
@@ -146,7 +146,7 @@ class TestSeriesCrossChecks:
     def test_found_roots_annihilate_vanishing_sums(self):
         mu = cantor(F(1, 3), F(2, 3), 2)
         table = build_table(mu, 40)
-        recs = find_eigenvalues(mu, "neumann", 3, tol=1e-14)
+        recs = find_eigenvalues(mu, "neumann", 3)
         for rec in recs[1:]:
             if rec.z > 5.0:
                 continue  # combinatorial growth defeats float certification
@@ -200,7 +200,7 @@ class TestEigenfunctions:
 
     def test_norm_identity_matches_quadrature(self, mu):
         for boundary in ("neumann", "dirichlet"):
-            for rec in find_eigenvalues(mu, boundary, 5, tol=1e-14):
+            for rec in find_eigenvalues(mu, boundary, 5):
                 if boundary == "neumann" and rec.index == 0:
                     continue
                 ef = eigenfunction(mu, rec)
@@ -295,7 +295,9 @@ def test_counts_at_certified_bracket_ends(w, level):
     # once across a Dirichlet bracket, so the count steps by one across it;
     # cp(1) keeps its sign across a Neumann bracket, so the count holds.
     # (Whether the step lands on the record's index is the solver's index
-    # law, which skips roots at w = 1/2, Dirichlet, m >= 7: ROADMAP direction 2.)
+    # law, which the scan does not prove: it steps over close root pairs,
+    # for w = 1/2 Dirichlet from m = 7, and for every other weight swept from
+    # m = 41-54 at levels 5 and 7.  ROADMAP.md sweep A; direction 13.)
     mu = cantor_approximant(CantorLevel(w, level))
     below = 0
     for rec in find_eigenvalues(mu, "dirichlet", 8):
@@ -530,10 +532,12 @@ class TestErrorPaths:
     def test_bad_count_and_tol(self):
         with pytest.raises(ConfigError):
             find_eigenvalues(LEBESGUE, "neumann", 0)
-        with pytest.raises(ConfigError):
-            find_eigenvalues(LEBESGUE, "neumann", 2, tol=1.0)
-        with pytest.raises(ConfigError):
-            find_eigenvalues(LEBESGUE, "neumann", 2, tol=0.0)
+        # Brent's tolerance is the constant XTOL: a tol argument, by name or
+        # in scan_ceiling's old position, fails loudly
+        with pytest.raises(TypeError):
+            find_eigenvalues(LEBESGUE, "neumann", 2, tol=1e-12)
+        with pytest.raises(TypeError):
+            find_eigenvalues(LEBESGUE, "neumann", 2, 1e-12)
 
     def test_uncertifiable_bracket_raises(self):
         # a boundary value that never clears its rounding estimate near the root
